@@ -1,6 +1,8 @@
 """The tracked perf-benchmark suite → ``BENCH_perf.json`` at the repo root.
 
-Ten sections, re-measured on every run so the numbers never rot:
+Nine sections, re-measured on every run so the numbers never rot (they
+keep the numbers ROADMAP.md and the recorded runs cite, so there is no
+section 2):
 
 1. **Partition microbenchmarks** — construction of the single-attribute
    partitions and a full product chain across the schema, timed for the
@@ -9,9 +11,6 @@ Ten sections, re-measured on every run so the numbers never rot:
    (:mod:`repro.relational._reference`).  The reported speedup is the
    substrate's improvement over the reference, i.e. over the pre-change
    baseline.
-2. **CTANE partition ablation** — end-to-end CTANE with incremental pattern
-   partitions (the default) against ``incremental_partitions=False`` (the
-   pre-change per-candidate matrix re-scans), at a fixed support.
 3. **End-to-end discovery** — CFDMiner, CTANE and FastCFD on generated Tax
    data across a support sweep, the trajectory future PRs compare against.
 4. **Serving throughput** — a mixed batch of requests (two algorithms × a
@@ -127,29 +126,6 @@ def bench_partitions(db_size: int, arity: int, repeats: int) -> dict:
         "arity": arity,
         "partition_construct": construct,
         "partition_product_chain": product,
-    }
-
-
-# ---------------------------------------------------------------------- #
-# section 2: CTANE incremental-partition ablation
-# ---------------------------------------------------------------------- #
-def bench_ctane_ablation(db_size: int, support: int, repeats: int) -> dict:
-    relation = tax_relation(db_size, seed=3)
-    incremental = time_best(
-        lambda: CTane(relation, support).discover(), repeats
-    )
-    legacy = time_best(
-        lambda: CTane(relation, support, incremental_partitions=False).discover(),
-        repeats,
-    )
-    n_cfds = len(CTane(relation, support).discover())
-    return {
-        "db_size": db_size,
-        "support": support,
-        "incremental_s": incremental,
-        "legacy_s": legacy,
-        "speedup": legacy / incremental,
-        "n_cfds": n_cfds,
     }
 
 
@@ -806,13 +782,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        micro_rows, ablation_db, ablation_k = 400, 300, 5
+        micro_rows, base_db, base_k = 400, 300, 5
         e2e_db, supports, repeats = 300, [5], 1
         serving_db, serving_supports = 300, [3, 5, 8]
         http_requests = 20
         wide_cfds = 0  # FD-only at 120 columns keeps the smoke run short
     else:
-        micro_rows, ablation_db, ablation_k = 5000, 2000, 20
+        micro_rows, base_db, base_k = 5000, 2000, 20
         e2e_db, supports, repeats = 2000, [10, 20, 50], 3
         serving_db, serving_supports = 2000, [10, 20, 50]
         http_requests = 50
@@ -822,29 +798,28 @@ def main(argv=None) -> int:
 
     started = time.perf_counter()
     micro = bench_partitions(micro_rows, 7, repeats)
-    ablation = bench_ctane_ablation(ablation_db, ablation_k, max(1, repeats - 1))
     end_to_end = bench_end_to_end(e2e_db, supports, max(1, repeats - 1))
     serving = bench_serving(
         serving_db, serving_supports, workers=4, repeats=max(1, repeats - 1)
     )
     persistence = bench_persistence(
-        ablation_db, ablation_k, max(1, repeats - 1)
+        base_db, base_k, max(1, repeats - 1)
     )
     http_serving = bench_http_serving(
-        ablation_db, ablation_k, n_requests=http_requests
+        base_db, base_k, n_requests=http_requests
     )
     fleet_serving = bench_fleet_serving(
-        ablation_db, ablation_k, n_requests=http_requests
+        base_db, base_k, n_requests=http_requests
     )
     fault_recovery = bench_fault_recovery(
-        ablation_db, ablation_k, max(1, repeats - 1)
+        base_db, base_k, max(1, repeats - 1)
     )
     wide_relations = bench_wide_relations(
         narrow_cols=30, wide_cols=120, n_rows=96,
         wide_cfds=wide_cfds, repeats=max(1, repeats - 1),
     )
     tracing_overhead = bench_tracing_overhead(
-        ablation_db, ablation_k, pairs=max(7, repeats)
+        base_db, base_k, pairs=max(7, repeats)
     )
 
     document = {
@@ -853,7 +828,6 @@ def main(argv=None) -> int:
         **machine_info(),
         "total_seconds": round(time.perf_counter() - started, 3),
         "micro": micro,
-        "ctane_partition_ablation": ablation,
         "end_to_end": end_to_end,
         "serving": serving,
         "persistence": persistence,
@@ -886,10 +860,6 @@ def main(argv=None) -> int:
     print(render_rows(
         micro_rows_table, ["benchmark", "label_array_s", "reference_s", "speedup"]
     ))
-    print(f"\nCTANE ablation (db={ablation['db_size']}, k={ablation['support']}): "
-          f"incremental {ablation['incremental_s']:.3f}s vs "
-          f"legacy {ablation['legacy_s']:.3f}s "
-          f"({ablation['speedup']:.2f}x, {ablation['n_cfds']} CFDs)")
     print("\nend-to-end discovery:")
     print(render_rows(
         end_to_end, ["algorithm", "db_size", "support", "seconds", "n_cfds"]

@@ -35,7 +35,7 @@ True
 >>> sweep.n_cfds <= result.n_cfds  # higher threshold, smaller cover
 True
 
-The one-shot :func:`repro.discover` shim from the seed API keeps working:
+The one-shot :func:`repro.discover` front end from the seed API keeps working:
 
 >>> repro_result = discover(r, min_support=2, algorithm="fastcfd")
 >>> sorted(map(str, repro_result.cfds)) == sorted(map(str, result.cfds))
@@ -49,8 +49,9 @@ driven by the declared capabilities (the paper's Section 8 guidance).
 """
 
 # NOTE: repro.core must initialise before repro.api is imported directly —
-# core.pattern / core.cfd load first, then core.discovery pulls repro.api in
-# at a point where every module the api needs is already in sys.modules.
+# core.pattern / core.cfd and the engines load first, then core.sampling
+# pulls repro.api in at a point where every module the api needs is already
+# in sys.modules.
 from repro.core.cfd import CFD, ConstantCFD, VariableCFD, cfd_from_fd
 from repro.api import (
     AlgorithmCapabilities,
@@ -58,14 +59,15 @@ from repro.api import (
     AlgorithmStats,
     DiscoveryAlgorithm,
     DiscoveryRequest,
+    DiscoveryResult,
     Profiler,
     REGISTRY,
+    discover,
     register_algorithm,
 )
 from repro.api import execute as execute_request
 from repro.core.cfdminer import CFDMiner, discover_constant_cfds
 from repro.core.ctane import CTane, discover_cfds_ctane
-from repro.core.discovery import DiscoveryResult, discover
 from repro.core.fastcfd import FastCFD, NaiveFast, discover_cfds_fastcfd
 from repro.core.measures import confidence, measures, rank_by_interest
 from repro.core.minimality import canonical_cover, is_left_reduced, is_minimal

@@ -13,8 +13,9 @@ this package makes that toolbox a first-class, extensible API:
   caches encodings, item-set mining results and difference-set providers so
   repeated runs (support sweeps, sampling validation) skip recomputation;
 * :func:`~repro.api.profiler.execute` — the single execution path used by
-  ``repro.discover()``, the CLI, the experiment harness, sampling-based
-  discovery and the cleaning layer.
+  :func:`~repro.api.profiler.discover` (``repro.discover()``, the keyword
+  front end), the CLI, the experiment harness, sampling-based discovery and
+  the cleaning layer.
 
 Quickstart
 ----------
@@ -45,7 +46,7 @@ from repro.api.result import AlgorithmStats, DiscoveryResult
 # Importing the adapters populates the registry with the paper's engines.
 import repro.api.algorithms  # noqa: E402,F401  (registration side effect)
 
-from repro.api.profiler import ProgressCallback, Profiler, execute
+from repro.api.profiler import ProgressCallback, Profiler, discover, execute
 
 __all__ = [
     "AUTO_ARITY_CUTOFF",
@@ -60,6 +61,7 @@ __all__ = [
     "Profiler",
     "RANKING_KEYS",
     "REGISTRY",
+    "discover",
     "execute",
     "register_algorithm",
 ]

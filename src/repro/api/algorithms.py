@@ -101,6 +101,7 @@ class CTaneAlgorithm(DiscoveryAlgorithm):
             "non_minimal_dropped",
         ),
     )
+    request_options = ("cplus_pruning", "verify_minimality")
 
     def run(
         self,
@@ -148,6 +149,7 @@ class FastCFDAlgorithm(DiscoveryAlgorithm):
         max_auto_arity=62,
         reported_stats=("free_sets", "closed_sets"),
     )
+    request_options = ("constant_cfds", "difference_sets", "dynamic_reordering")
 
     #: The algorithm class instantiated (NaiveFast overrides this).
     algorithm_class = FastCFD
@@ -242,6 +244,7 @@ class DFDAlgorithm(DiscoveryAlgorithm):
             "walk_seed",
         ),
     )
+    request_options = ("constant_cfds", "seed")
 
     def run(
         self,

@@ -93,6 +93,13 @@ def execute(
         if name == "auto":
             name = registry.select(relation, request)
         engine = registry.create(name)
+        unknown = sorted(set(request.options_dict) - set(engine.request_options))
+        if unknown:
+            accepted = ", ".join(engine.request_options) or "none"
+            raise DiscoveryError(
+                f"algorithm {name!r} does not accept option(s) "
+                f"{', '.join(unknown)} (accepted: {accepted})"
+            )
         if request.variable_only and not engine.capabilities.variable_cfds:
             raise DiscoveryError(
                 f"algorithm {name!r} emits no variable CFDs but the request is "
@@ -140,6 +147,27 @@ def execute(
             # The run may have grown the session's caches: give observers
             # (the serving pool's byte accounting) a synchronous signal.
             root_session._notify_run_complete()
+
+
+def discover(
+    relation: Relation,
+    min_support: int = 1,
+    *,
+    algorithm: str = "auto",
+    max_lhs_size: Optional[int] = None,
+    **options: object,
+) -> DiscoveryResult:
+    """Discover a canonical cover of minimal k-frequent CFDs, one-shot.
+
+    The keyword-style front end of :func:`execute` without a session (the
+    seed API): ``algorithm`` is a registered name or ``"auto"``,
+    ``max_lhs_size`` caps the LHS size and ``options`` go to the engine's
+    constructor.
+    """
+    request = DiscoveryRequest.from_keywords(
+        min_support, algorithm=algorithm, max_lhs_size=max_lhs_size, **options
+    )
+    return execute(relation, request)
 
 
 #: Rough bytes per encoded item / closure entry in the free/closed estimates.
@@ -208,7 +236,7 @@ class Profiler:
         self._attached_store: Optional["CacheStore"] = None
         #: In-memory engine checkpoints keyed by canonical params (the
         #: in-process resume path; the attached store is the durable one).
-        self._checkpoints: Dict[str, Dict] = {}
+        self._checkpoints: Dict[Tuple, Dict] = {}
         self._lock = ranked_lock(RANK_SESSION, "Profiler._lock", reentrant=True)
         # Expensive structures are cached as futures: lookup/insert happens
         # under the lock, the build itself outside it (see _get_or_build).
@@ -440,10 +468,7 @@ class Profiler:
 
     def ctane_checkpoint(self, params: Dict[str, object]) -> "_CTaneCheckpoint":
         """The engine's checkpoint handle for one traversal configuration."""
-        import json as json_mod
-
-        key = json_mod.dumps(params, sort_keys=True, separators=(",", ":"))
-        return _CTaneCheckpoint(self, key, params)
+        return _CTaneCheckpoint(self, params)
 
     def checkpoint_info(self) -> Dict[str, int]:
         """Counters of the in-memory engine checkpoints (observability)."""
@@ -587,13 +612,12 @@ class Profiler:
     # ------------------------------------------------------------------ #
     # persistence: dump to / warm from a CacheStore
     # ------------------------------------------------------------------ #
-    def _restore_build_seconds(self, bucket: str, meta: Dict) -> None:
-        value = meta.get("build_seconds")
-        if not value:
+    def _restore_build_seconds(self, bucket: str, seconds: float) -> None:
+        if not seconds:
             return
         with self._lock:
             self._build_seconds[bucket] = max(
-                self._build_seconds.get(bucket, 0.0), float(value)
+                self._build_seconds.get(bucket, 0.0), seconds
             )
 
     @staticmethod
@@ -601,6 +625,14 @@ class Profiler:
         future: Future = Future()
         future.set_result(value)
         return future
+
+    @staticmethod
+    def _bucket(kind: str, key) -> str:
+        """The :meth:`cache_info` bucket of one persisted structure: the
+        kind's name, except that each provider has its own bucket."""
+        from repro.serve.store import KIND_DIFFERENCE_SETS
+
+        return f"{key}_difference_sets" if kind == KIND_DIFFERENCE_SETS else kind
 
     def dump_caches(self, store: "CacheStore") -> int:
         """Spill every completed session structure into ``store``.
@@ -613,162 +645,39 @@ class Profiler:
         (pending futures) are skipped.  Raises
         :class:`~repro.exceptions.CacheStoreError` on write failures.
         """
-        from repro.core.pattern import is_wildcard
         from repro.serve import store as sf
 
-        fingerprint = self._relation.fingerprint()
         with self._lock:
-            mining = {k: self._completed(f) for k, f in self._free_closed.items()}
-            providers = {k: self._completed(f) for k, f in self._providers.items()}
-            partitions = dict(self._partitions)
-            patterns = dict(self._pattern_partitions)
-            engines = {k: self._completed(f) for k, f in self._engine_results.items()}
             build = dict(self._build_seconds)
-
-        written = 0
-        for (k, max_lhs), result in mining.items():
-            if result is None:
-                continue
-            meta, arrays = sf.pack_free_closed(result)
-            meta["build_seconds"] = build.get("free_closed", 0.0)
-            store.put(
-                fingerprint,
-                sf.KIND_FREE_CLOSED,
-                {"k": int(k), "max_lhs": max_lhs},
-                meta=meta,
-                arrays=arrays,
-            )
-            written += 1
-        # The bundle and query-cache entries live under one *fixed* store key
-        # per relation, and persisting them is a read→union→write cycle: two
-        # workers sharing a store directory and spilling the same relation
-        # concurrently would each read the same base, merge their own
-        # additions, and the slower writer would silently drop the faster
-        # one's.  Each cycle therefore runs under the store's cross-process
-        # lock; acquisition is best-effort (a lock timeout degrades to the
-        # old racy merge rather than failing the spill).
-        if partitions:
-            items = [
-                ([int(i) for i in key], partition)
-                for key, partition in sorted(partitions.items())
+            structures = [
+                (sf.KIND_FREE_CLOSED, key, self._completed(future))
+                for key, future in self._free_closed.items()
+            ] + [
+                (sf.KIND_ENGINE_RESULTS, key, self._completed(future))
+                for key, future in self._engine_results.items()
             ]
-            with store.lock(fingerprint, sf.KIND_ATTRIBUTE_PARTITIONS):
-                items = self._merge_bundle(
-                    store, sf.KIND_ATTRIBUTE_PARTITIONS, items
-                )
-                meta, arrays = sf.pack_partition_bundle(items)
-                meta["build_seconds"] = build.get("attribute_partitions", 0.0)
-                store.put(
-                    fingerprint,
-                    sf.KIND_ATTRIBUTE_PARTITIONS,
-                    {},
-                    meta=meta,
-                    arrays=arrays,
-                )
-            written += 1
-        if patterns:
-            items = []
-            for (attrs, codes), partition in patterns.items():
-                json_key = [
-                    [int(a) for a in attrs],
-                    [None if is_wildcard(c) else int(c) for c in codes],
-                ]
-                items.append((json_key, partition))
-            with store.lock(fingerprint, sf.KIND_PATTERN_PARTITIONS):
-                items = self._merge_bundle(store, sf.KIND_PATTERN_PARTITIONS, items)
-                meta, arrays = sf.pack_partition_bundle(items)
-                store.put(
-                    fingerprint,
-                    sf.KIND_PATTERN_PARTITIONS,
-                    {},
-                    meta=meta,
-                    arrays=arrays,
-                )
-            written += 1
+            # An empty bundle writes nothing (None, like a pending build).
+            for kind, cache in (
+                (sf.KIND_ATTRIBUTE_PARTITIONS, self._partitions),
+                (sf.KIND_PATTERN_PARTITIONS, self._pattern_partitions),
+            ):
+                structures.append((kind, None, list(cache.items()) or None))
+            providers = {k: self._completed(f) for k, f in self._providers.items()}
+        # Providers export outside the session lock: they take their own.
         for name, provider in providers.items():
-            if provider is None:
-                continue
-            exported = provider.export_cache()
-            with store.lock(fingerprint, f"{sf.KIND_DIFFERENCE_SETS}.{name}"):
-                exported = self._merge_query_cache(store, name, exported)
-                meta = sf.pack_query_cache(exported)
-                meta["build_seconds"] = build.get(f"{name}_difference_sets", 0.0)
-                store.put(
-                    fingerprint, sf.KIND_DIFFERENCE_SETS, {"provider": name}, meta=meta
+            if provider is not None:
+                exported = provider.export_cache()
+                structures.append((sf.KIND_DIFFERENCE_SETS, name, exported))
+        fingerprint = self._relation.fingerprint()
+        written = 0
+        for kind, key, value in structures:
+            if value is not None:
+                written += sf.dump_structure(
+                    store, fingerprint, kind, key, value,
+                    build_seconds=build.get(self._bucket(kind, key), 0.0),
                 )
-            written += 1
-        for (name, k, max_lhs, options), entry in engines.items():
-            if entry is None:
-                continue
-            if not all(sf.is_json_scalar(value) for _, value in options):
-                continue
-            meta = sf.pack_engine_result(*entry)
-            if meta is None:
-                continue  # cover values would not survive a JSON round trip
-            meta["build_seconds"] = build.get("engine_results", 0.0)
-            store.put(
-                fingerprint,
-                sf.KIND_ENGINE_RESULTS,
-                {
-                    "algorithm": name,
-                    "k": int(k),
-                    "max_lhs": max_lhs,
-                    "options": [[option, value] for option, value in options],
-                },
-                meta=meta,
-            )
-            written += 1
         store.enforce_budget()
         return written
-
-    def _merge_bundle(self, store: "CacheStore", kind: str, items):
-        """Union this session's bundle with the one already in the store.
-
-        Bundles live under a single fixed key per relation, so without the
-        merge a colder worker dumping *after* a warmer one would clobber the
-        richer bundle.  Entries this session holds win on key conflicts; a
-        missing or unreadable existing bundle merges as empty.
-        """
-        import json as json_mod
-
-        from repro.serve import store as sf
-
-        entry = store.get(self._relation.fingerprint(), kind, {})
-        if entry is None:
-            return items
-        try:
-            existing = sf.unpack_partition_bundle(entry)
-        except Exception:  # noqa: BLE001 - a bad bundle merges as empty
-            return items
-        seen = {json_mod.dumps(key) for key, _ in items}
-        merged = list(items)
-        for key, partition in existing:
-            if json_mod.dumps(key) not in seen:
-                merged.append((key, partition))
-        return merged
-
-    def _merge_query_cache(self, store: "CacheStore", provider_name: str, exported):
-        """Union a provider's query cache with the persisted one (same reason
-        as :meth:`_merge_bundle`: one fixed store key per provider)."""
-        from repro.serve import store as sf
-
-        entry = store.get(
-            self._relation.fingerprint(),
-            sf.KIND_DIFFERENCE_SETS,
-            {"provider": provider_name},
-        )
-        if entry is None:
-            return exported
-        try:
-            existing = sf.unpack_query_cache(entry.meta)
-        except Exception:  # noqa: BLE001 - a bad entry merges as empty
-            return exported
-        seen = {(rhs, items) for rhs, items, _ in exported}
-        merged = list(exported)
-        for rhs, items, family in existing:
-            if (rhs, items) not in seen:
-                merged.append((rhs, items, family))
-        return merged
 
     def warm_from(self, store: "CacheStore") -> int:
         """Pre-seed the session caches from ``store``; returns entries loaded.
@@ -778,105 +687,63 @@ class Profiler:
         damaged store can never fail a request.  Structures the session
         already holds are left untouched.
         """
-        from repro.core.pattern import WILDCARD
         from repro.serve import store as sf
 
-        fingerprint = self._relation.fingerprint()
         loaded = 0
-        for entry in store.load_all(fingerprint):
-            try:
-                if entry.kind == sf.KIND_FREE_CLOSED:
-                    max_lhs = entry.params.get("max_lhs")
-                    key = (
-                        int(entry.params["k"]),
-                        None if max_lhs is None else int(max_lhs),
-                    )
-                    result = sf.unpack_free_closed(entry)
-                    with self._lock:
-                        self._free_closed.setdefault(
-                            key, self._completed_future(result)
-                        )
-                    self._restore_build_seconds("free_closed", entry.meta)
-                elif entry.kind == sf.KIND_ATTRIBUTE_PARTITIONS:
-                    for json_key, partition in sf.unpack_partition_bundle(entry):
-                        key = tuple(int(i) for i in json_key)
-                        with self._lock:
-                            self._partitions.setdefault(key, partition)
-                    self._restore_build_seconds("attribute_partitions", entry.meta)
-                elif entry.kind == sf.KIND_PATTERN_PARTITIONS:
-                    for json_key, partition in sf.unpack_partition_bundle(entry):
-                        attrs, codes = json_key
-                        key = (
-                            tuple(int(a) for a in attrs),
-                            tuple(
-                                WILDCARD if code is None else int(code)
-                                for code in codes
-                            ),
-                        )
-                        self.store_pattern_partition(key, partition)
-                elif entry.kind == sf.KIND_DIFFERENCE_SETS:
-                    if not self._warm_provider(entry, sf):
-                        continue
-                elif entry.kind == sf.KIND_ENGINE_RESULTS:
-                    cover = sf.unpack_engine_result(entry.meta)
-                    max_lhs = entry.params.get("max_lhs")
-                    key = (
-                        str(entry.params["algorithm"]),
-                        int(entry.params["k"]),
-                        None if max_lhs is None else int(max_lhs),
-                        tuple(
-                            (str(option), value)
-                            for option, value in entry.params.get("options", [])
-                        ),
-                    )
-                    with self._lock:
-                        if (
-                            key not in self._engine_results
-                            and len(self._engine_results) < MAX_ENGINE_RESULTS
-                        ):
-                            self._engine_results[key] = self._completed_future(cover)
-                    self._restore_build_seconds("engine_results", entry.meta)
-                else:
-                    continue  # an unknown kind from a newer writer
-            except Exception:  # noqa: BLE001 - any bad entry degrades to cold
-                continue
+        for kind, key, value, seconds in sf.load_structures(
+            store, self._relation.fingerprint()
+        ):
+            if kind == sf.KIND_FREE_CLOSED:
+                with self._lock:
+                    self._free_closed.setdefault(key, self._completed_future(value))
+            elif kind == sf.KIND_ATTRIBUTE_PARTITIONS:
+                with self._lock:
+                    for attributes, partition in value:
+                        self._partitions.setdefault(attributes, partition)
+            elif kind == sf.KIND_PATTERN_PARTITIONS:
+                for element, partition in value:
+                    self.store_pattern_partition(element, partition)
+            elif kind == sf.KIND_DIFFERENCE_SETS:
+                if not self._warm_provider(key, value):
+                    continue
+            elif kind == sf.KIND_ENGINE_RESULTS:
+                with self._lock:
+                    if (
+                        key not in self._engine_results
+                        and len(self._engine_results) < MAX_ENGINE_RESULTS
+                    ):
+                        self._engine_results[key] = self._completed_future(value)
+            self._restore_build_seconds(self._bucket(kind, key), seconds)
             loaded += 1
         return loaded
 
-    def _warm_provider(self, entry, sf) -> bool:
+    def _warm_provider(self, name: str, query_cache) -> bool:
         """Install one persisted difference-set provider; ``False`` to skip."""
-        name = entry.params.get("provider")
-        query_cache = sf.unpack_query_cache(entry.meta)
         with self._lock:
             existing = self._providers.get(name)
+            mining = self._free_closed.get((2, None))
         if existing is not None:
             provider = self._completed(existing)
-            if provider is None:
-                return False
-            provider.import_cache(query_cache)
         elif name == "closed":
             # The closed-set provider is an index over the 2-frequent closed
             # item sets; rebuild it from the (already loaded) mining entry
             # rather than persisting the derived index itself.
-            with self._lock:
-                future = self._free_closed.get((2, None))
-            closed_result = self._completed(future) if future is not None else None
+            closed_result = self._completed(mining) if mining is not None else None
             if closed_result is None:
                 return False
             provider = ClosedSetDifferenceSets(
                 self._relation, closed_result=closed_result
             )
-            provider.import_cache(query_cache)
-            with self._lock:
-                self._providers.setdefault(name, self._completed_future(provider))
         elif name == "partition":
             provider = PartitionDifferenceSets(self._relation)
-            provider.import_cache(query_cache)
+        else:
+            provider = None
+        if provider is None:
+            return False
+        provider.import_cache(query_cache)
+        if existing is None:
             with self._lock:
                 self._providers.setdefault(name, self._completed_future(provider))
-        else:
-            return False
-        self._restore_build_seconds(f"{name}_difference_sets", entry.meta)
         return True
 
     # ------------------------------------------------------------------ #
@@ -903,11 +770,8 @@ class Profiler:
     ) -> DiscoveryResult:
         """Keyword-style convenience wrapper around :meth:`run`."""
         return self.run(
-            DiscoveryRequest(
-                min_support=min_support,
-                algorithm=algorithm,
-                max_lhs_size=max_lhs_size,
-                options=options,
+            DiscoveryRequest.from_keywords(
+                min_support, algorithm=algorithm, max_lhs_size=max_lhs_size, **options
             )
         )
 
@@ -924,9 +788,9 @@ class _CTaneCheckpoint:
     checkpoint guarantees the completed levels are safe.
     """
 
-    def __init__(self, profiler: Profiler, key: str, params: Dict[str, object]):
+    def __init__(self, profiler: Profiler, params: Dict[str, object]):
         self._profiler = profiler
-        self._key = key
+        self._key = tuple(sorted(params.items()))
         self._params = params
 
     def load(self) -> Optional[Dict]:
@@ -940,15 +804,10 @@ class _CTaneCheckpoint:
             return None
         from repro.serve import store as sf
 
-        entry = store.get(
-            profiler._relation.fingerprint(), sf.KIND_CTANE_CHECKPOINT, self._params
+        return sf.load_structure(
+            store, profiler._relation.fingerprint(), sf.KIND_CTANE_CHECKPOINT,
+            self._params,
         )
-        if entry is None:
-            return None
-        try:
-            return sf.unpack_ctane_checkpoint(entry)
-        except Exception:  # noqa: BLE001 - a bad checkpoint degrades to cold
-            return None
 
     def save(self, state: Dict) -> None:
         profiler = self._profiler
@@ -963,16 +822,10 @@ class _CTaneCheckpoint:
                 SPAN_ENGINE_CHECKPOINT, level=state.get("size")
             ) as span:
                 try:
-                    packed = sf.pack_ctane_checkpoint(state)
-                    if packed is not None:
-                        meta, arrays = packed
-                        store.put(
-                            profiler._relation.fingerprint(),
-                            sf.KIND_CTANE_CHECKPOINT,
-                            self._params,
-                            meta=meta,
-                            arrays=arrays,
-                        )
+                    sf.dump_structure(
+                        store, profiler._relation.fingerprint(),
+                        sf.KIND_CTANE_CHECKPOINT, self._params, state,
+                    )
                 except CacheStoreError:
                     # Resume stays in-memory only; the run must not fail.
                     span.set_status("error", error="CacheStoreError")
@@ -999,4 +852,4 @@ class _CTaneCheckpoint:
             )
 
 
-__all__ = ["ProgressCallback", "Profiler", "execute"]
+__all__ = ["ProgressCallback", "Profiler", "discover", "execute"]

@@ -89,11 +89,16 @@ class DiscoveryAlgorithm(abc.ABC):
     together with normalised :class:`~repro.api.result.AlgorithmStats`.
     ``session`` is the calling :class:`~repro.api.profiler.Profiler` (or
     ``None`` for one-shot runs); engines use it to reuse cached per-relation
-    structures and to report progress.
+    structures and to report progress.  :attr:`request_options` names the
+    constructor options a request may set; :func:`~repro.api.execute`
+    rejects any other, so wiring parameters (``session``, ``progress``,
+    ``checkpoint``, ``free_result``, ``mining_result``) never come from a
+    request.
     """
 
     name: str = ""
     capabilities: AlgorithmCapabilities = AlgorithmCapabilities()
+    request_options: Tuple[str, ...] = ()
 
     @abc.abstractmethod
     def run(

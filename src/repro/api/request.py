@@ -93,6 +93,25 @@ class DiscoveryRequest:
         else:
             object.__setattr__(self, "options", tuple(self.options))
 
+    @classmethod
+    def from_keywords(
+        cls,
+        min_support: int = 1,
+        *,
+        algorithm: str = "auto",
+        max_lhs_size: Optional[int] = None,
+        **options: object,
+    ) -> "DiscoveryRequest":
+        """The request of the keyword-style front ends (``repro.discover()``,
+        :meth:`~repro.api.profiler.Profiler.discover`): every keyword other
+        than the three named ones is an engine option."""
+        return cls(
+            min_support=min_support,
+            algorithm=algorithm,
+            max_lhs_size=max_lhs_size,
+            options=options,
+        )
+
     # ------------------------------------------------------------------ #
     @property
     def options_dict(self) -> Dict[str, object]:

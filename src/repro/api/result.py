@@ -1,12 +1,11 @@
 """Result objects of the unified discovery API.
 
 :class:`DiscoveryResult` is the value object every discovery entry point
-returns (it used to live in :mod:`repro.core.discovery`, which now re-exports
-it for backward compatibility).  :class:`AlgorithmStats` normalises the
-per-algorithm counters — CTANE's lattice statistics, the item-set mining
-volumes of CFDMiner/FastCFD — into one uniform record instead of the ad-hoc
-``extra`` dictionary of the seed API; ``extra`` is still populated from the
-stats so existing callers keep working.
+returns.  :class:`AlgorithmStats` normalises the per-algorithm counters —
+CTANE's lattice statistics, the item-set mining volumes of
+CFDMiner/FastCFD — into one uniform record instead of the ad-hoc ``extra``
+dictionary of the seed API; ``extra`` is still populated from the stats so
+existing callers keep working.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ Public surface:
   discovery (Section 5).
 * :mod:`repro.core.bruteforce` — definition-level reference discoverer used as
   the oracle in tests.
-* :mod:`repro.core.discovery` — a unified ``discover()`` front-end.
 * :mod:`repro.core.implication` — constant-CFD implication and cover
   minimisation (the paper's future-work item on CFD inference).
 """
@@ -41,7 +40,6 @@ from repro.core.cfdminer import CFDMiner
 from repro.core.ctane import CTane
 from repro.core.fastcfd import FastCFD, NaiveFast
 from repro.core.bruteforce import discover_bruteforce
-from repro.core.discovery import DiscoveryResult, discover
 from repro.core.implication import implies_constant, minimise_constant_cover
 from repro.core.measures import CFDMeasures, confidence, measures, rank_by_interest
 from repro.core.sampling import (
@@ -75,8 +73,6 @@ __all__ = [
     "FastCFD",
     "NaiveFast",
     "discover_bruteforce",
-    "DiscoveryResult",
-    "discover",
     "implies_constant",
     "minimise_constant_cover",
     "CFDMeasures",

@@ -33,9 +33,6 @@ count comparisons between the element's partition and its LHS parent's
 (``n_classes`` for a wildcard RHS, ``covered_rows`` for a constant RHS — see
 :meth:`CTane._cfd_valid_partition` and DESIGN.md for the soundness argument),
 so no step re-scans the encoded matrix per candidate.
-``incremental_partitions=False`` restores the original fresh-boolean-mask
-scans; it exists for the perf-benchmark ablation
-(``benchmarks/bench_perf_suite.py``) and as an executable specification.
 """
 
 from __future__ import annotations
@@ -87,12 +84,6 @@ class CTane:
         it off keeps every lattice element alive and emits via definition-level
         minimality checks instead; it exists for the pruning ablation
         benchmark.
-    incremental_partitions:
-        Maintain pattern partitions incrementally across lattice levels (the
-        paper's Section 4.4) and run vectorized validity/support checks on
-        them.  ``False`` restores the original per-candidate matrix re-scans;
-        output is identical either way (the perf suite and the test-suite
-        both assert this).
     verify_minimality:
         Re-check every emitted CFD against the minimality definition and drop
         (and count) any failure.  Off by default; the test-suite validates the
@@ -125,7 +116,6 @@ class CTane:
         *,
         max_lhs_size: Optional[int] = None,
         cplus_pruning: bool = True,
-        incremental_partitions: bool = True,
         verify_minimality: bool = False,
         session: Optional["Profiler"] = None,
         progress: Optional[Callable[[str, int, int], None]] = None,
@@ -143,17 +133,12 @@ class CTane:
         self._min_support = min_support
         self._max_lhs_size = max_lhs_size
         self._cplus_pruning = cplus_pruning
-        self._incremental = incremental_partitions
         self._verify_minimality = verify_minimality
         self._session = session
         self._progress = progress
         self._matrix = relation.encoded_matrix()
         self._arity = relation.arity
         self._n_rows = relation.n_rows
-        # Column masks shared by the legacy scan paths: sibling candidates
-        # with a common constant item reuse one mask instead of recomputing
-        # it per candidate during level generation.
-        self._column_masks: Dict[Tuple[int, int], np.ndarray] = {}
         self._all_rows_partition: Optional[Partition] = None
         # Per-attribute code bound (codes are 0..span-1), for the mixed-radix
         # pairing of refine_by_column.
@@ -182,34 +167,12 @@ class CTane:
             "min_support": int(self._min_support),
             "max_lhs_size": self._max_lhs_size,
             "cplus_pruning": bool(self._cplus_pruning),
-            "incremental_partitions": bool(self._incremental),
             "verify_minimality": bool(self._verify_minimality),
         }
 
     # ------------------------------------------------------------------ #
     # the partition substrate
     # ------------------------------------------------------------------ #
-    #: Cap on the number of cached column masks (legacy scan paths only);
-    #: each entry is an n_rows boolean array, so the cache stays bounded even
-    #: at min_support=1 on high-cardinality columns.
-    _MASK_CACHE_LIMIT = 4096
-
-    def _column_mask(self, attribute: int, code: int) -> np.ndarray:
-        """``matrix[:, attribute] == code``, cached per ``(attribute, code)``.
-
-        Sibling candidates sharing a constant item reuse one mask instead of
-        recomputing it.  Only the legacy (non-incremental) scan paths use
-        full-relation masks; the incremental path stores the compressed
-        partitions and compares gathered column values directly.
-        """
-        key = (attribute, code)
-        mask = self._column_masks.get(key)
-        if mask is None:
-            mask = self._matrix[:, attribute] == code
-            if len(self._column_masks) < self._MASK_CACHE_LIMIT:
-                self._column_masks[key] = mask
-        return mask
-
     def _empty_pattern_partition(self) -> Partition:
         """``Π(∅, ())``: every row in one class."""
         if self._all_rows_partition is None:
@@ -249,50 +212,6 @@ class CTane:
     # ------------------------------------------------------------------ #
     # validity and support checks
     # ------------------------------------------------------------------ #
-    def _constant_support(self, attrs: Sequence[int], pattern: Sequence[PatternCode]) -> int:
-        """Number of tuples matching the constants of ``pattern`` on ``attrs``.
-
-        Legacy scan used by ``incremental_partitions=False``; the incremental
-        path reads ``covered_rows`` off the candidate's partition instead.
-        """
-        mask = np.ones(self._n_rows, dtype=bool)
-        for attribute, code in zip(attrs, pattern):
-            if not is_wildcard(code):
-                mask &= self._column_mask(attribute, int(code))
-        return int(mask.sum())
-
-    def _cfd_valid_scan(
-        self,
-        lhs_attrs: Sequence[int],
-        lhs_pattern: Sequence[PatternCode],
-        rhs: int,
-        rhs_code: PatternCode,
-    ) -> bool:
-        """Legacy validity check: fresh masks and Python grouping per candidate."""
-        mask = np.ones(self._n_rows, dtype=bool)
-        wildcard_attrs: List[int] = []
-        for attribute, code in zip(lhs_attrs, lhs_pattern):
-            if is_wildcard(code):
-                wildcard_attrs.append(attribute)
-            else:
-                mask &= self._column_mask(attribute, int(code))
-        rows = np.nonzero(mask)[0]
-        if rows.size == 0:
-            return True
-        rhs_column = self._matrix[rows, rhs]
-        if not is_wildcard(rhs_code):
-            if not (rhs_column == int(rhs_code)).all():
-                return False
-        if not wildcard_attrs:
-            return bool((rhs_column == rhs_column[0]).all())
-        groups: Dict[Tuple[int, ...], int] = {}
-        keys = self._matrix[np.ix_(rows, wildcard_attrs)]
-        for key, value in zip(map(tuple, keys.tolist()), rhs_column.tolist()):
-            previous = groups.setdefault(key, value)
-            if previous != value:
-                return False
-        return True
-
     @staticmethod
     def _cfd_valid_partition(
         lhs_partition: Partition,
@@ -401,24 +320,15 @@ class CTane:
             # No pattern (not even the all-wildcard one) can reach the support
             # threshold, so the canonical cover is empty.
             return results
-        incremental = self._incremental
-        state = None
-        if self._checkpoint is not None:
-            state = self._checkpoint.load()
-            if state is not None and bool(state.get("incremental")) != incremental:
-                state = None  # a checkpoint of the other traversal mode
+        state = self._checkpoint.load() if self._checkpoint is not None else None
         if state is not None:
             # Warm resume: restore the loop frontier the checkpoint captured
             # at the top of level ``size`` — everything before it is done.
             size = int(state["size"])
             level: List[Element] = list(state["level"])
             parent_cplus: Dict[Element, Set[CandidateItem]] = state["parent_cplus"]
-            parent_partitions: Dict[Element, Partition] = state.get(
-                "parent_partitions", {}
-            )
-            level_partitions: Dict[Element, Partition] = state.get(
-                "level_partitions", {}
-            )
+            parent_partitions: Dict[Element, Partition] = state["parent_partitions"]
+            level_partitions: Dict[Element, Partition] = state["level_partitions"]
             results = list(state["results"])
             counters = state.get("counters", {})
             self.candidates_checked += int(counters.get("candidates_checked", 0))
@@ -436,14 +346,11 @@ class CTane:
                 base_candidates.add((attrs[0], pattern[0]))
             parent_cplus = {empty_element: base_candidates}
 
-            parent_partitions = {}
-            level_partitions = {}
-            if incremental:
-                parent_partitions[empty_element] = self._empty_pattern_partition()
-                for element in level:
-                    level_partitions[element] = self._single_partition(
-                        element[0][0], element[1][0]
-                    )
+            parent_partitions = {empty_element: self._empty_pattern_partition()}
+            level_partitions = {
+                element: self._single_partition(element[0][0], element[1][0])
+                for element in level
+            }
             size = 1
 
         while level:
@@ -466,7 +373,6 @@ class CTane:
                     self._checkpoint.save(
                         {
                             "size": size,
-                            "incremental": incremental,
                             "level": list(level),
                             "parent_cplus": {
                                 element: set(items)
@@ -506,19 +412,13 @@ class CTane:
                         lhs_attrs = attrs[:position] + attrs[position + 1:]
                         lhs_pattern = pattern[:position] + pattern[position + 1:]
                         self.candidates_checked += 1
-                        if incremental:
-                            # The LHS element is an immediate sub-element, so its
-                            # partition is cached in the previous level's table.
-                            valid = self._cfd_valid_partition(
-                                parent_partitions[(lhs_attrs, lhs_pattern)],
-                                level_partitions[element],
-                                rhs_code,
-                            )
-                        else:
-                            valid = self._cfd_valid_scan(
-                                lhs_attrs, lhs_pattern, rhs, rhs_code
-                            )
-                        if not valid:
+                        # The LHS element is an immediate sub-element, so its
+                        # partition is cached in the previous level's table.
+                        if not self._cfd_valid_partition(
+                            parent_partitions[(lhs_attrs, lhs_pattern)],
+                            level_partitions[element],
+                            rhs_code,
+                        ):
                             continue
                         cfd = self._decode_cfd(lhs_attrs, lhs_pattern, rhs, rhs_code)
                         if self._verify_minimality and not is_minimal(
@@ -575,77 +475,67 @@ class CTane:
                             candidate: Element = (z_attrs, z_pattern)
                             if candidate in next_level:
                                 continue
-                            if incremental:
-                                # A session caches pattern partitions across runs
-                                # (they are support-independent), so a warmed
-                                # sweep skips the derivation below entirely.
-                                cached = (
-                                    self._session.cached_pattern_partition(candidate)
-                                    if self._session is not None
-                                    else None
-                                )
-                                if cached is not None:
-                                    if cached.covered_rows < self._min_support:
-                                        continue
-                                    if not self._all_parents_present(
-                                        candidate, level_index
-                                    ):
-                                        continue
-                                    next_partitions[candidate] = cached
-                                    next_level.add(candidate)
+                            # A session caches pattern partitions across runs
+                            # (they are support-independent), so a warmed
+                            # sweep skips the derivation below entirely.
+                            cached = (
+                                self._session.cached_pattern_partition(candidate)
+                                if self._session is not None
+                                else None
+                            )
+                            if cached is not None:
+                                if cached.covered_rows < self._min_support:
                                     continue
-                                # Section 4.4: Π(Z, sp) derives from the
-                                # generating element's cached Π(X, sp) by joining
-                                # in the single new item — a class split for a
-                                # wildcard, a row restriction for a constant.
-                                # The constant support (the covered rows after a
-                                # restriction) is checked before paying for the
-                                # class relabelling.
-                                x_partition = level_partitions[(x_attrs, x_pattern)]
-                                y_attr = y_attrs[-1]
-                                y_code = y_pattern[-1]
-                                if is_wildcard(y_code):
-                                    if x_partition.covered_rows < self._min_support:
-                                        continue
-                                    if not self._all_parents_present(
-                                        candidate, level_index
-                                    ):
-                                        continue
-                                    partition = x_partition.refine_by_column(
-                                        self._matrix[:, y_attr],
-                                        self._column_spans[y_attr],
-                                    )
-                                else:
-                                    keep = (
-                                        self._matrix[x_partition.covered_index, y_attr]
-                                        == int(y_code)
-                                    )
-                                    if int(np.count_nonzero(keep)) < self._min_support:
-                                        continue
-                                    if not self._all_parents_present(
-                                        candidate, level_index
-                                    ):
-                                        continue
-                                    partition = x_partition.restrict(keep)
-                                if self._session is not None:
-                                    self._session.store_pattern_partition(
-                                        candidate, partition
-                                    )
-                                next_partitions[candidate] = partition
-                            else:
-                                if (
-                                    self._constant_support(z_attrs, z_pattern)
-                                    < self._min_support
+                                if not self._all_parents_present(
+                                    candidate, level_index
                                 ):
                                     continue
-                                if not self._all_parents_present(candidate, level_index):
+                                next_partitions[candidate] = cached
+                                next_level.add(candidate)
+                                continue
+                            # Section 4.4: Π(Z, sp) derives from the
+                            # generating element's cached Π(X, sp) by joining
+                            # in the single new item — a class split for a
+                            # wildcard, a row restriction for a constant.
+                            # The constant support (the covered rows after a
+                            # restriction) is checked before paying for the
+                            # class relabelling.
+                            x_partition = level_partitions[(x_attrs, x_pattern)]
+                            y_attr = y_attrs[-1]
+                            y_code = y_pattern[-1]
+                            if is_wildcard(y_code):
+                                if x_partition.covered_rows < self._min_support:
                                     continue
+                                if not self._all_parents_present(
+                                    candidate, level_index
+                                ):
+                                    continue
+                                partition = x_partition.refine_by_column(
+                                    self._matrix[:, y_attr],
+                                    self._column_spans[y_attr],
+                                )
+                            else:
+                                keep = (
+                                    self._matrix[x_partition.covered_index, y_attr]
+                                    == int(y_code)
+                                )
+                                if int(np.count_nonzero(keep)) < self._min_support:
+                                    continue
+                                if not self._all_parents_present(
+                                    candidate, level_index
+                                ):
+                                    continue
+                                partition = x_partition.restrict(keep)
+                            if self._session is not None:
+                                self._session.store_pattern_partition(
+                                    candidate, partition
+                                )
+                            next_partitions[candidate] = partition
                             next_level.add(candidate)
                 self.elements_generated += len(next_level)
                 parent_cplus = cplus
-                if incremental:
-                    parent_partitions = level_partitions
-                    level_partitions = next_partitions
+                parent_partitions = level_partitions
+                level_partitions = next_partitions
                 level = sorted(next_level, key=self._generality_rank)
                 size += 1
         if self._checkpoint is not None:

@@ -44,10 +44,12 @@ Writes are atomic: the entry is written to a temp file in the target
 directory and ``os.replace``d into place, so concurrent readers in other
 worker processes only ever observe complete entries.
 
-The module also hosts the pack/unpack helpers for every persisted structure
-kind (free/closed mining results, partition bundles, difference-set provider
-query caches, engine results); :class:`~repro.api.Profiler` orchestrates
-them but owns no format knowledge.
+The module is also the only payload codec, each encoding written once, for
+every persisted structure kind: free/closed mining results, attribute and
+pattern partition bundles, difference-set provider query caches, engine
+results and CTANE checkpoints.  :class:`~repro.api.Profiler` hands
+in-memory keys and values to :func:`dump_structure` and takes them back
+from :func:`load_structures`; it owns no format knowledge.
 """
 
 from __future__ import annotations
@@ -60,12 +62,24 @@ import struct
 import tempfile
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from repro import obs
+from repro.core.pattern import WILDCARD, is_wildcard
 from repro.devtools.lockcheck import check_io_unlocked
 from repro.exceptions import CacheStoreError
 from repro.obs.names import SPAN_STORE_GET, SPAN_STORE_PUT
@@ -165,8 +179,9 @@ class CacheStore:
     #: Bump whenever the binary layout or any kind's payload schema changes;
     #: readers skip entries written under any other version.  Version 2 added
     #: the mandatory ``payload_digest`` header field (BLAKE2b over the raw
-    #: array buffers, verified on every full load).
-    FORMAT_VERSION = 2
+    #: array buffers, verified on every full load); version 3 moved CTANE
+    #: checkpoints onto the shared lattice-element encoding.
+    FORMAT_VERSION = 3
     MAGIC = b"RPROCS01"
     _SUFFIX = ".rpc"
     #: Corrupt entries are moved here (flattened ``<fingerprint>-<entry>``
@@ -219,8 +234,6 @@ class CacheStore:
         return self._root
 
     def _entry_path(self, fingerprint: str, kind: str, params: Dict) -> Path:
-        import hashlib
-
         digest = hashlib.blake2b(
             _canonical_params(params).encode("utf-8"), digest_size=6
         ).hexdigest()
@@ -294,6 +307,7 @@ class CacheStore:
             )
         except (TypeError, ValueError) as exc:
             raise CacheStoreError(f"entry header is not JSON-native: {exc}") from exc
+        chunks = [self.MAGIC, struct.pack("<Q", len(blob)), blob, *buffers]
         path = self._entry_path(fingerprint, kind, params)
         torn_fraction = self._visit_fault(FAULT_POINT_STORE_PUT)
         if torn_fraction is not None:
@@ -301,7 +315,7 @@ class CacheStore:
             # truncated entry lands on the *final* path, then the writer
             # "dies" (the caller sees the store's native failure).  Recovery
             # sweeps and digest checks must catch exactly this file.
-            full = self.MAGIC + struct.pack("<Q", len(blob)) + blob + b"".join(buffers)
+            full = b"".join(chunks)
             keep = max(len(self.MAGIC) + 4, int(len(full) * torn_fraction))
             try:
                 path.parent.mkdir(parents=True, exist_ok=True)
@@ -318,11 +332,7 @@ class CacheStore:
             raise CacheStoreError(f"cannot write store entry {path}: {exc}") from exc
         try:
             with os.fdopen(handle, "wb") as stream:
-                stream.write(self.MAGIC)
-                stream.write(struct.pack("<Q", len(blob)))
-                stream.write(blob)
-                for chunk in buffers:
-                    stream.write(chunk)
+                stream.writelines(chunks)
             os.replace(temp_name, path)
         except OSError as exc:
             try:
@@ -337,53 +347,89 @@ class CacheStore:
     # ------------------------------------------------------------------ #
     # reading
     # ------------------------------------------------------------------ #
-    def _load_path(self, path: Path) -> StoreEntry:
-        """Decode one entry file; every malformation raises CacheStoreError."""
+    def _read_header(
+        self, path: Path, *, payload: bool = False
+    ) -> Tuple[Dict, List[Tuple[str, np.dtype, Tuple[int, ...]]], Optional[bytes]]:
+        """``(header, [(name, dtype, shape), ...], payload or None)`` of one
+        entry: the one header reader, for full loads, shallow fsck and gc.
+
+        Checks magic, header, version, digest field, dtypes and that the file
+        holds every byte the manifest promises (CacheStoreError otherwise);
+        the digest itself is left to :meth:`_load_path`.
+        """
         try:
-            blob = path.read_bytes()
+            with path.open("rb") as stream:
+                size = os.fstat(stream.fileno()).st_size
+                if stream.read(len(self.MAGIC)) != self.MAGIC:
+                    raise CacheStoreError(f"{path} is not a cache-store entry")
+                prefix = stream.read(8)
+                if len(prefix) != 8:
+                    raise CacheStoreError(f"{path} is truncated (header length)")
+                (header_len,) = struct.unpack("<Q", prefix)
+                if header_len > 64 * 2 ** 20:
+                    raise CacheStoreError(f"{path} declares an absurd header")
+                blob = stream.read(header_len)
+                buffers = stream.read() if payload else None
         except OSError as exc:
             raise CacheStoreError(f"cannot read store entry {path}: {exc}") from exc
-        if len(blob) < len(self.MAGIC) + 8 or not blob.startswith(self.MAGIC):
-            raise CacheStoreError(f"{path} is not a cache-store entry")
-        offset = len(self.MAGIC)
-        (header_len,) = struct.unpack_from("<Q", blob, offset)
-        offset += 8
-        if offset + header_len > len(blob):
+        if len(blob) != header_len:
             raise CacheStoreError(f"{path} is truncated (header)")
         try:
-            header = json.loads(blob[offset:offset + header_len].decode("utf-8"))
+            header = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CacheStoreError(f"{path} has a corrupt header: {exc}") from exc
-        offset += header_len
+        if not isinstance(header, dict):
+            raise CacheStoreError(f"{path} has a corrupt header: not an object")
         if header.get("format_version") != self.FORMAT_VERSION:
             raise CacheStoreError(
                 f"{path} was written under store format "
                 f"{header.get('format_version')!r}, this reader expects "
                 f"{self.FORMAT_VERSION}"
             )
-        arrays: Dict[str, np.ndarray] = {}
-        payload_start = offset
-        for spec in header.get("arrays", []):
-            dtype = spec.get("dtype")
-            if dtype not in ALLOWED_DTYPES:
-                raise CacheStoreError(f"{path} declares forbidden dtype {dtype!r}")
-            shape = tuple(int(n) for n in spec.get("shape", []))
-            count = int(np.prod(shape)) if shape else 1
-            nbytes = count * np.dtype(dtype).itemsize
-            if offset + nbytes > len(blob):
-                raise CacheStoreError(f"{path} is truncated (array {spec['name']!r})")
-            arrays[spec["name"]] = np.frombuffer(
-                blob, dtype=np.dtype(dtype), count=count, offset=offset
-            ).reshape(shape)
-            offset += nbytes
-        expected = header.get("payload_digest")
-        if not isinstance(expected, str):
+        if not isinstance(header.get("payload_digest"), str):
             raise CacheStoreError(f"{path} carries no payload digest")
-        actual = self._payload_digest([blob[payload_start:offset]])
-        if actual != expected:
+        manifest = []
+        try:
+            for spec in header.get("arrays", []):
+                dtype = spec.get("dtype")
+                if dtype not in ALLOWED_DTYPES:
+                    raise CacheStoreError(
+                        f"{path} declares forbidden dtype {dtype!r}"
+                    )
+                shape = tuple(int(n) for n in spec.get("shape", []))
+                manifest.append((spec["name"], np.dtype(dtype), shape))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CacheStoreError(f"{path} has a corrupt manifest: {exc}") from exc
+        available = (
+            len(buffers) if buffers is not None
+            else size - len(self.MAGIC) - 8 - header_len
+        )
+        promised = sum(
+            int(np.prod(shape)) * dtype.itemsize for _, dtype, shape in manifest
+        )
+        if available < promised:
+            raise CacheStoreError(
+                f"{path} is truncated ({available} payload bytes, manifest "
+                f"promises {promised})"
+            )
+        return header, manifest, buffers
+
+    def _load_path(self, path: Path) -> StoreEntry:
+        """Decode one entry file; every malformation raises CacheStoreError."""
+        header, manifest, buffers = self._read_header(path, payload=True)
+        arrays: Dict[str, np.ndarray] = {}
+        offset = 0
+        for name, dtype, shape in manifest:
+            count = int(np.prod(shape))
+            arrays[name] = np.frombuffer(
+                buffers, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
+            offset += count * dtype.itemsize
+        actual = self._payload_digest([memoryview(buffers)[:offset]])
+        if actual != header["payload_digest"]:
             raise CacheStoreError(
                 f"{path} fails its payload digest "
-                f"(header {expected}, computed {actual})"
+                f"(header {header['payload_digest']}, computed {actual})"
             )
         return StoreEntry(
             fingerprint=header.get("fingerprint", ""),
@@ -409,46 +455,43 @@ class CacheStore:
             if not path.exists():
                 span.set_attr("hit", False)
                 return None
-            try:
-                entry = self._load_path(path)
-            except CacheStoreError as exc:
-                # Structural corruption (torn write, bit rot, bad version):
-                # move the file out of the serving path with its reason on
-                # record.
-                self.load_failures += 1
-                self._quarantine(path, str(exc))
-                span.set_attr("hit", False)
-                span.set_status("error", error="corrupt")
-                return None
-            try:
-                self._verify(entry, fingerprint, kind=kind, params=params)
-            except CacheStoreError:
-                self.load_failures += 1
-                span.set_attr("hit", False)
-                return None
-            self.loads += 1
-            span.set_attr("hit", True)
+            entry = self._read_entry(path, fingerprint, kind, params, span)
+            span.set_attr("hit", entry is not None)
             return entry
 
-    def _verify(
+    def _read_entry(
         self,
-        entry: StoreEntry,
+        path: Path,
         fingerprint: str,
-        *,
         kind: Optional[str] = None,
         params: Optional[Dict] = None,
-    ) -> None:
-        if entry.fingerprint != fingerprint:
-            raise CacheStoreError(
-                f"entry fingerprint {entry.fingerprint!r} does not match the "
-                f"requested relation {fingerprint!r}"
+        span=None,
+    ) -> Optional[StoreEntry]:
+        """Load one entry and re-verify its identity, keeping the counters.
+
+        A corrupt file is quarantined with its reason on record; an entry of
+        another relation (a moved file), kind or params is a plain miss.
+        """
+        try:
+            entry = self._load_path(path)
+        except CacheStoreError as exc:
+            self.load_failures += 1
+            self._quarantine(path, str(exc))
+            if span is not None:
+                span.set_status("error", error="corrupt")
+            return None
+        if (
+            entry.fingerprint != fingerprint
+            or (kind is not None and entry.kind != kind)
+            or (
+                params is not None
+                and _canonical_params(entry.params) != _canonical_params(params)
             )
-        if kind is not None and entry.kind != kind:
-            raise CacheStoreError(f"entry kind {entry.kind!r} != {kind!r}")
-        if params is not None and _canonical_params(entry.params) != _canonical_params(
-            params
         ):
-            raise CacheStoreError("entry params do not match the requested params")
+            self.load_failures += 1
+            return None
+        self.loads += 1
+        return entry
 
     def load_all(self, fingerprint: str) -> List[StoreEntry]:
         """Every readable entry of one relation, in warm-load kind order.
@@ -464,19 +507,9 @@ class CacheStore:
         for path in sorted(directory.glob(f"*{self._SUFFIX}")):
             if path.name.startswith("."):
                 continue  # in-progress temp files
-            try:
-                entry = self._load_path(path)
-            except CacheStoreError as exc:
-                self.load_failures += 1
-                self._quarantine(path, str(exc))
-                continue
-            try:
-                self._verify(entry, fingerprint)
-            except CacheStoreError:
-                self.load_failures += 1
-                continue
-            self.loads += 1
-            entries.append(entry)
+            entry = self._read_entry(path, fingerprint)
+            if entry is not None:
+                entries.append(entry)
         rank = {kind: index for index, kind in enumerate(KIND_ORDER)}
         entries.sort(key=lambda e: rank.get(e.kind, len(rank)))
         return entries
@@ -571,60 +604,6 @@ class CacheStore:
         self.quarantined += 1
         return True
 
-    def _check_shallow(self, path: Path) -> None:
-        """Cheap integrity check: magic, header, version, manifest vs size.
-
-        Catches torn writes and truncation without reading the array
-        payload; :meth:`fsck` with ``deep=True`` adds the digest pass.
-        """
-        try:
-            size = path.stat().st_size
-            with path.open("rb") as stream:
-                magic = stream.read(len(self.MAGIC))
-                if magic != self.MAGIC:
-                    raise CacheStoreError(f"{path} is not a cache-store entry")
-                prefix = stream.read(8)
-                if len(prefix) != 8:
-                    raise CacheStoreError(f"{path} is truncated (header length)")
-                (header_len,) = struct.unpack("<Q", prefix)
-                if header_len > 64 * 2 ** 20:
-                    raise CacheStoreError(f"{path} declares an absurd header")
-                blob = stream.read(header_len)
-        except OSError as exc:
-            raise CacheStoreError(f"cannot read store entry {path}: {exc}") from exc
-        if len(blob) != header_len:
-            raise CacheStoreError(f"{path} is truncated (header)")
-        try:
-            header = json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CacheStoreError(f"{path} has a corrupt header: {exc}") from exc
-        if header.get("format_version") != self.FORMAT_VERSION:
-            raise CacheStoreError(
-                f"{path} was written under store format "
-                f"{header.get('format_version')!r}, this reader expects "
-                f"{self.FORMAT_VERSION}"
-            )
-        if not isinstance(header.get("payload_digest"), str):
-            raise CacheStoreError(f"{path} carries no payload digest")
-        expected = len(self.MAGIC) + 8 + header_len
-        try:
-            for spec in header.get("arrays", []):
-                dtype = spec.get("dtype")
-                if dtype not in ALLOWED_DTYPES:
-                    raise CacheStoreError(
-                        f"{path} declares forbidden dtype {dtype!r}"
-                    )
-                shape = tuple(int(n) for n in spec.get("shape", []))
-                count = int(np.prod(shape)) if shape else 1
-                expected += count * np.dtype(dtype).itemsize
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CacheStoreError(f"{path} has a corrupt manifest: {exc}") from exc
-        if size < expected:
-            raise CacheStoreError(
-                f"{path} is truncated ({size} bytes on disk, manifest "
-                f"promises {expected})"
-            )
-
     def fsck(self, *, deep: bool = True) -> Dict[str, object]:
         """Sweep every entry, quarantining the corrupt ones; returns a report.
 
@@ -643,7 +622,7 @@ class CacheStore:
                 if deep:
                     self._load_path(path)
                 else:
-                    self._check_shallow(path)
+                    self._read_header(path)  # no payload read, no digest
             except CacheStoreError as exc:
                 reason = str(exc)
                 self._quarantine(path, reason)
@@ -693,29 +672,6 @@ class CacheStore:
     def __len__(self) -> int:
         return len(self._entry_files())
 
-    def _read_header(self, path: Path) -> Dict:
-        """Decode only the JSON header of one entry (no array buffers)."""
-        try:
-            with path.open("rb") as stream:
-                magic = stream.read(len(self.MAGIC))
-                if magic != self.MAGIC:
-                    raise CacheStoreError(f"{path} is not a cache-store entry")
-                prefix = stream.read(8)
-                if len(prefix) != 8:
-                    raise CacheStoreError(f"{path} is truncated (header length)")
-                (header_len,) = struct.unpack("<Q", prefix)
-                if header_len > 64 * 2 ** 20:
-                    raise CacheStoreError(f"{path} declares an absurd header")
-                blob = stream.read(header_len)
-        except OSError as exc:
-            raise CacheStoreError(f"cannot read store entry {path}: {exc}") from exc
-        if len(blob) != header_len:
-            raise CacheStoreError(f"{path} is truncated (header)")
-        try:
-            return json.loads(blob.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CacheStoreError(f"{path} has a corrupt header: {exc}") from exc
-
     def gc(self, max_bytes: int) -> Dict[str, object]:
         """Shrink the store to at most ``max_bytes``; returns a summary.
 
@@ -739,9 +695,7 @@ class CacheStore:
             except OSError:
                 continue
             try:
-                header = self._read_header(path)
-                if header.get("format_version") != self.FORMAT_VERSION:
-                    raise CacheStoreError("wrong format version")
+                header, _, _ = self._read_header(path)
                 score = float(header.get("meta", {}).get("build_seconds") or 0.0)
             except (AttributeError, CacheStoreError, TypeError, ValueError):
                 # AttributeError covers a null / non-dict "meta" field: any
@@ -824,8 +778,64 @@ class CacheStore:
 
 
 # ---------------------------------------------------------------------- #
-# pack/unpack: free/closed mining results
+# The payload codec: every encoding below is written once.
 # ---------------------------------------------------------------------- #
+def _encode_element(element: Tuple) -> List:
+    """A CTANE lattice element ``(X, sp)`` as ``[attributes, codes]``;
+    lattice codes are always ints, so ``None`` stands for the wildcard."""
+    attrs, codes = element
+    return [list(attrs), [None if code is WILDCARD else code for code in codes]]
+
+
+def _decode_element(spec: List) -> Tuple:
+    attrs, codes = spec
+    return tuple(attrs), tuple(WILDCARD if code is None else code for code in codes)
+
+
+def _encode_rules(cfds) -> Optional[List[Dict]]:
+    """CFDs as JSON rules, or ``None`` if a pattern value would not survive a
+    JSON round trip byte-identically.  A constant may be any JSON scalar,
+    ``None`` included, so values keep ``[flag, value]``: ``[1, None]`` is
+    the wildcard, ``[0, constant]`` a constant."""
+
+    def encode(value: object) -> List:
+        return [1, None] if is_wildcard(value) else [0, value]
+
+    rules = []
+    for cfd in cfds:
+        values = (*cfd.lhs_pattern, cfd.rhs_pattern)
+        if not all(is_wildcard(v) or is_json_scalar(v) for v in values):
+            return None
+        rules.append(
+            {
+                "lhs": list(cfd.lhs),
+                "lhs_pattern": [encode(value) for value in cfd.lhs_pattern],
+                "rhs": cfd.rhs,
+                "rhs_pattern": encode(cfd.rhs_pattern),
+            }
+        )
+    return rules
+
+
+def _decode_rules(rules: List[Dict]) -> List:
+    from repro.core.cfd import CFD
+
+    def decode(spec: List) -> object:
+        flag, value = spec
+        return WILDCARD if flag else value
+
+    return [
+        CFD(
+            tuple(rule["lhs"]),
+            tuple(decode(spec) for spec in rule["lhs_pattern"]),
+            rule["rhs"],
+            decode(rule["rhs_pattern"]),
+        )
+        for rule in rules
+    ]
+
+
+# free/closed mining results ------------------------------------------- #
 def pack_free_closed(result) -> Tuple[Dict, Dict[str, np.ndarray]]:
     """``(meta, arrays)`` of a :class:`~repro.itemsets.mining.FreeClosedResult`.
 
@@ -883,78 +893,71 @@ def unpack_free_closed(entry: StoreEntry):
     )
 
 
-# ---------------------------------------------------------------------- #
-# pack/unpack: partition bundles
-# ---------------------------------------------------------------------- #
+# partition bundles ----------------------------------------------------- #
 def pack_partition_bundle(
-    items: Sequence[Tuple[object, "object"]]
+    items: Iterable[Tuple[object, object]],
+    encode_key: Callable[[object], object],
+    prefix: str = "",
 ) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """``(meta, arrays)`` of ``[(json_key, Partition), ...]``.
+    """``(meta, arrays)`` of ``[(key, Partition), ...]``.
 
     The compressed covered form of every partition (sorted int64 row indices
-    plus int32 class labels) is concatenated into two buffers; the keys and
-    per-partition counts ride in the meta.
+    plus int32 class labels) is concatenated into two buffers; the encoded
+    keys and per-partition counts ride in the meta.  Every meta and array
+    field is named ``prefix + field``, so one entry can carry several
+    bundles (a checkpoint carries two).
     """
     keys = []
     shapes = []
-    row_chunks: List[np.ndarray] = []
-    label_chunks: List[np.ndarray] = []
+    row_chunks = [np.empty(0, dtype=np.int64)]
+    label_chunks = [np.empty(0, dtype=np.int32)]
     offsets = [0]
     for key, partition in items:
-        keys.append(key)
+        keys.append(encode_key(key))
         shapes.append(
             [int(partition.n_rows), int(partition.n_classes), int(partition.size)]
         )
-        rows = np.asarray(partition.covered_index, dtype=np.int64)
-        row_chunks.append(rows)
-        label_chunks.append(np.asarray(partition.covered_labels, dtype=np.int32))
-        offsets.append(offsets[-1] + int(rows.size))
-    meta = {"keys": keys, "shapes": shapes}
+        row_chunks.append(partition.covered_index)
+        label_chunks.append(partition.covered_labels)
+        offsets.append(offsets[-1] + int(partition.covered_index.size))
+    meta = {prefix + "keys": keys, prefix + "shapes": shapes}
     arrays = {
-        "rows": np.concatenate(row_chunks)
-        if row_chunks
-        else np.empty(0, dtype=np.int64),
-        "labels": np.concatenate(label_chunks)
-        if label_chunks
-        else np.empty(0, dtype=np.int32),
-        "offsets": np.asarray(offsets, dtype=np.int64),
+        prefix + "rows": np.concatenate(row_chunks, dtype=np.int64),
+        prefix + "labels": np.concatenate(label_chunks, dtype=np.int32),
+        prefix + "offsets": np.asarray(offsets, dtype=np.int64),
     }
     return meta, arrays
 
 
-def unpack_partition_bundle(entry: StoreEntry) -> List[Tuple[object, "object"]]:
-    """Rebuild ``[(json_key, Partition), ...]`` from a bundle entry."""
+def unpack_partition_bundle(
+    entry: StoreEntry, decode_key: Callable[[object], object], prefix: str = ""
+) -> List[Tuple[object, object]]:
+    """Rebuild ``[(key, Partition), ...]`` from a bundle entry."""
     from repro.relational.partition import Partition
 
-    rows = entry.array("rows", "int64")
-    labels = entry.array("labels", "int32")
-    offsets = entry.array("offsets", "int64")
-    keys = entry.meta["keys"]
-    shapes = entry.meta["shapes"]
+    rows = entry.array(prefix + "rows", "int64")
+    labels = entry.array(prefix + "labels", "int32")
+    offsets = entry.array(prefix + "offsets", "int64").tolist()
+    keys = entry.meta[prefix + "keys"]
+    shapes = entry.meta[prefix + "shapes"]
     if rows.size != labels.size:
         raise CacheStoreError("partition bundle rows/labels length mismatch")
-    if offsets.size != len(keys) + 1 or len(shapes) != len(keys):
+    if len(offsets) != len(keys) + 1 or len(shapes) != len(keys):
         raise CacheStoreError("partition bundle manifest mismatch")
     out = []
-    for index, key in enumerate(keys):
-        lo, hi = int(offsets[index]), int(offsets[index + 1])
+    for key, (n_rows, n_classes, size), lo, hi in zip(
+        keys, shapes, offsets, offsets[1:]
+    ):
         if not 0 <= lo <= hi <= rows.size:
             raise CacheStoreError("partition bundle offsets out of range")
-        n_rows, n_classes, size = (int(v) for v in shapes[index])
-        out.append(
-            (
-                key,
-                Partition.from_covered(
-                    rows[lo:hi], labels[lo:hi], n_rows, n_classes, size=size
-                ),
-            )
+        partition = Partition.from_covered(
+            rows[lo:hi], labels[lo:hi], n_rows, n_classes, size=size
         )
+        out.append((decode_key(key), partition))
     return out
 
 
-# ---------------------------------------------------------------------- #
-# pack/unpack: difference-set provider query caches
-# ---------------------------------------------------------------------- #
+# difference-set provider query caches ---------------------------------- #
 def pack_query_cache(
     exported: Iterable[Tuple[int, frozenset, Set[frozenset]]]
 ) -> Dict:
@@ -986,49 +989,13 @@ def unpack_query_cache(meta: Dict) -> List[Tuple[int, frozenset, Set[frozenset]]
     return out
 
 
-# ---------------------------------------------------------------------- #
-# pack/unpack: engine results (canonical covers + stats)
-# ---------------------------------------------------------------------- #
-def _pack_pattern_value(value: object) -> Optional[List]:
-    """``[0, constant]`` / ``[1, None]`` (wildcard); ``None`` if not storable."""
-    from repro.core.pattern import is_wildcard
-
-    if is_wildcard(value):
-        return [1, None]
-    if not is_json_scalar(value):
-        return None
-    return [0, value]
-
-
-def _unpack_pattern_value(spec: Sequence) -> object:
-    from repro.core.pattern import WILDCARD
-
-    flag, value = spec
-    return WILDCARD if flag else value
-
-
+# engine results (canonical covers + stats) ----------------------------- #
 def pack_engine_result(cfds, stats) -> Optional[Dict]:
     """Meta payload of one cached engine run, or ``None`` if any pattern
     value would not survive a JSON round trip byte-identically."""
-    rules = []
-    for cfd in cfds:
-        lhs_pattern = []
-        for value in cfd.lhs_pattern:
-            packed = _pack_pattern_value(value)
-            if packed is None:
-                return None
-            lhs_pattern.append(packed)
-        rhs_pattern = _pack_pattern_value(cfd.rhs_pattern)
-        if rhs_pattern is None:
-            return None
-        rules.append(
-            {
-                "lhs": list(cfd.lhs),
-                "lhs_pattern": lhs_pattern,
-                "rhs": cfd.rhs,
-                "rhs_pattern": rhs_pattern,
-            }
-        )
+    rules = _encode_rules(cfds)
+    if rules is None:
+        return None
     counters = {
         name: getattr(stats, name)
         for name in stats._COUNTERS
@@ -1050,55 +1017,19 @@ def pack_engine_result(cfds, stats) -> Optional[Dict]:
 def unpack_engine_result(meta: Dict):
     """Rebuild ``(cfds, stats)`` from a persisted engine-result entry."""
     from repro.api.result import AlgorithmStats
-    from repro.core.cfd import CFD
 
-    cfds = []
-    for rule in meta["rules"]:
-        cfds.append(
-            CFD(
-                tuple(rule["lhs"]),
-                tuple(_unpack_pattern_value(v) for v in rule["lhs_pattern"]),
-                rule["rhs"],
-                _unpack_pattern_value(rule["rhs_pattern"]),
-            )
-        )
     spec = meta["stats"]
     stats = AlgorithmStats(
         algorithm=spec.get("algorithm", ""),
         extras=dict(spec.get("extras", {})),
         **{key: int(value) for key, value in spec.get("counters", {}).items()},
     )
-    return tuple(cfds), stats
+    return tuple(_decode_rules(meta["rules"])), stats
 
 
-# ---------------------------------------------------------------------- #
-# pack/unpack: CTANE checkpoints (mid-run lattice frontiers)
-# ---------------------------------------------------------------------- #
-def _pack_code(code: object) -> List:
-    """``[1, None]`` for the wildcard, ``[0, int]`` for a constant code."""
-    from repro.core.pattern import is_wildcard
-
-    return [1, None] if is_wildcard(code) else [0, int(code)]
-
-
-def _unpack_code(spec: Sequence) -> object:
-    from repro.core.pattern import WILDCARD
-
-    flag, value = spec
-    return WILDCARD if flag else int(value)
-
-
-def _pack_element(element: Tuple) -> List:
-    attrs, pattern = element
-    return [[int(a) for a in attrs], [_pack_code(code) for code in pattern]]
-
-
-def _unpack_element(spec: Sequence) -> Tuple:
-    attrs, pattern = spec
-    return (
-        tuple(int(a) for a in attrs),
-        tuple(_unpack_code(code) for code in pattern),
-    )
+# CTANE checkpoints (mid-run lattice frontiers) -------------------------- #
+#: The two partition bundles of a checkpoint: ``(field prefix, state key)``.
+_CHECKPOINT_BUNDLES = (("p_", "parent_partitions"), ("l_", "level_partitions"))
 
 
 def pack_ctane_checkpoint(state: Dict) -> Optional[Tuple[Dict, Dict[str, np.ndarray]]]:
@@ -1107,110 +1038,201 @@ def pack_ctane_checkpoint(state: Dict) -> Optional[Tuple[Dict, Dict[str, np.ndar
     round trip byte-identically (then the run simply is not checkpointable).
 
     The state is the engine's loop frontier at the top of one lattice level:
-    the level's elements, the previous level's candidate-RHS sets and (in
-    incremental mode) pattern partitions, the current level's partitions,
-    the results so far, and the traversal counters.
+    the level's elements, the previous level's candidate-RHS sets and
+    pattern partitions, the current level's partitions, the results so far,
+    and the traversal counters.  A candidate-RHS set ``{(A, c), ...}``
+    travels as the element of its attributes and codes.
     """
-    rules = []
-    for cfd in state["results"]:
-        lhs_pattern = []
-        for value in cfd.lhs_pattern:
-            packed = _pack_pattern_value(value)
-            if packed is None:
-                return None
-            lhs_pattern.append(packed)
-        rhs_pattern = _pack_pattern_value(cfd.rhs_pattern)
-        if rhs_pattern is None:
-            return None
-        rules.append(
-            {
-                "lhs": list(cfd.lhs),
-                "lhs_pattern": lhs_pattern,
-                "rhs": cfd.rhs,
-                "rhs_pattern": rhs_pattern,
-            }
-        )
-    cplus = [
-        [
-            _pack_element(element),
-            sorted([int(attr), _pack_code(code)] for attr, code in items),
-        ]
-        for element, items in state["parent_cplus"].items()
-    ]
+    rules = _encode_rules(state["results"])
+    if rules is None:
+        return None
     meta: Dict[str, object] = {
         "size": int(state["size"]),
-        "incremental": bool(state["incremental"]),
-        "level": [_pack_element(element) for element in state["level"]],
-        "parent_cplus": cplus,
+        "level": [_encode_element(element) for element in state["level"]],
+        "parent_cplus": [
+            [_encode_element(element), _encode_element(tuple(zip(*items)) or ((), ()))]
+            for element, items in state["parent_cplus"].items()
+        ],
         "rules": rules,
         "counters": {
             key: int(value) for key, value in state["counters"].items()
         },
     }
     arrays: Dict[str, np.ndarray] = {}
-    for prefix, key in (("p", "parent_partitions"), ("l", "level_partitions")):
-        items = [
-            (_pack_element(element), partition)
-            for element, partition in state.get(key, {}).items()
-        ]
-        bundle_meta, bundle_arrays = pack_partition_bundle(items)
-        meta[f"{prefix}_keys"] = bundle_meta["keys"]
-        meta[f"{prefix}_shapes"] = bundle_meta["shapes"]
-        for name, array in bundle_arrays.items():
-            arrays[f"{prefix}_{name}"] = array
+    for prefix, name in _CHECKPOINT_BUNDLES:
+        bundle_meta, bundle_arrays = pack_partition_bundle(
+            state[name].items(), _encode_element, prefix
+        )
+        meta.update(bundle_meta)
+        arrays.update(bundle_arrays)
     return meta, arrays
 
 
 def unpack_ctane_checkpoint(entry: StoreEntry) -> Dict:
     """Rebuild a CTANE checkpoint state dict from a persisted entry."""
-    from repro.core.cfd import CFD
-
-    results = []
-    for rule in entry.meta["rules"]:
-        results.append(
-            CFD(
-                tuple(rule["lhs"]),
-                tuple(_unpack_pattern_value(v) for v in rule["lhs_pattern"]),
-                rule["rhs"],
-                _unpack_pattern_value(rule["rhs_pattern"]),
-            )
-        )
-    parent_cplus = {
-        _unpack_element(element): {
-            (int(attr), _unpack_code(code)) for attr, code in items
-        }
-        for element, items in entry.meta["parent_cplus"]
-    }
+    meta = entry.meta
     state: Dict[str, object] = {
-        "size": int(entry.meta["size"]),
-        "incremental": bool(entry.meta["incremental"]),
-        "level": [_unpack_element(element) for element in entry.meta["level"]],
-        "parent_cplus": parent_cplus,
-        "results": results,
-        "counters": {
-            key: int(value) for key, value in entry.meta["counters"].items()
+        "size": int(meta["size"]),
+        "level": [_decode_element(spec) for spec in meta["level"]],
+        "parent_cplus": {
+            _decode_element(element): set(zip(*_decode_element(items)))
+            for element, items in meta["parent_cplus"]
         },
+        "results": _decode_rules(meta["rules"]),
+        "counters": {key: int(value) for key, value in meta["counters"].items()},
     }
-    for prefix, key in (("p", "parent_partitions"), ("l", "level_partitions")):
-        bundle = StoreEntry(
-            fingerprint=entry.fingerprint,
-            kind=entry.kind,
-            params=entry.params,
-            meta={
-                "keys": entry.meta[f"{prefix}_keys"],
-                "shapes": entry.meta[f"{prefix}_shapes"],
-            },
-            arrays={
-                "rows": entry.array(f"{prefix}_rows", "int64"),
-                "labels": entry.array(f"{prefix}_labels", "int32"),
-                "offsets": entry.array(f"{prefix}_offsets", "int64"),
-            },
-        )
-        state[key] = {
-            _unpack_element(packed): partition
-            for packed, partition in unpack_partition_bundle(bundle)
-        }
+    for prefix, name in _CHECKPOINT_BUNDLES:
+        state[name] = dict(unpack_partition_bundle(entry, _decode_element, prefix))
     return state
+
+
+# ---------------------------------------------------------------------- #
+# Session structures: what Profiler.dump_caches / warm_from move
+# ---------------------------------------------------------------------- #
+class _Codec(NamedTuple):
+    """How one kind travels: its value as payload, its key as entry params;
+    fixed-key kinds name ``merge_key``, the identity of a bundle item."""
+
+    pack: Callable[[object], Optional[Tuple[Dict, Dict[str, np.ndarray]]]]
+    unpack: Callable[[StoreEntry], object]
+    params: Callable[[object], Optional[Dict[str, object]]] = lambda key: {}
+    key: Callable[[Dict[str, object]], object] = lambda params: None
+    merge_key: Optional[Callable[[Tuple], object]] = None
+
+
+def _meta_only(meta: Optional[Dict]) -> Optional[Tuple[Dict, Dict]]:
+    return None if meta is None else (meta, {})
+
+
+def _engine_params(key: Tuple) -> Optional[Dict[str, object]]:
+    algorithm, k, max_lhs, options = key
+    if not all(is_json_scalar(value) for _, value in options):
+        return None  # an option value would not survive a JSON round trip
+    return {
+        "algorithm": algorithm,
+        "k": int(k),
+        "max_lhs": max_lhs,
+        "options": [[option, value] for option, value in options],
+    }
+
+
+def _engine_key(params: Dict[str, object]) -> Tuple:
+    options = tuple((option, value) for option, value in params["options"])
+    return (params["algorithm"], params["k"], params["max_lhs"], options)
+
+
+_CODECS: Dict[str, _Codec] = {
+    KIND_FREE_CLOSED: _Codec(
+        pack=pack_free_closed,
+        unpack=unpack_free_closed,
+        params=lambda key: {"k": int(key[0]), "max_lhs": key[1]},
+        key=lambda params: (params["k"], params["max_lhs"]),
+    ),
+    KIND_ATTRIBUTE_PARTITIONS: _Codec(
+        pack=lambda items: pack_partition_bundle(items, list),
+        unpack=lambda entry: unpack_partition_bundle(entry, tuple),
+        merge_key=itemgetter(0),
+    ),
+    KIND_PATTERN_PARTITIONS: _Codec(
+        pack=lambda items: pack_partition_bundle(items, _encode_element),
+        unpack=lambda entry: unpack_partition_bundle(entry, _decode_element),
+        merge_key=itemgetter(0),
+    ),
+    KIND_DIFFERENCE_SETS: _Codec(
+        pack=lambda exported: _meta_only(pack_query_cache(exported)),
+        unpack=lambda entry: unpack_query_cache(entry.meta),
+        params=lambda name: {"provider": name},
+        key=lambda params: params["provider"],
+        merge_key=itemgetter(0, 1),
+    ),
+    KIND_ENGINE_RESULTS: _Codec(
+        pack=lambda result: _meta_only(pack_engine_result(*result)),
+        unpack=lambda entry: unpack_engine_result(entry.meta),
+        params=_engine_params,
+        key=_engine_key,
+    ),
+    # Looked up at call time, so a rebound pack_ctane_checkpoint is used.
+    KIND_CTANE_CHECKPOINT: _Codec(
+        pack=lambda state: pack_ctane_checkpoint(state),
+        unpack=unpack_ctane_checkpoint,
+        params=lambda params: params,
+    ),
+}
+
+
+def dump_structure(
+    store: CacheStore,
+    fingerprint: str,
+    kind: str,
+    key: object,
+    value: object,
+    *,
+    build_seconds: float = 0.0,
+) -> bool:
+    """Write one in-memory structure; ``False`` if it is not storable.
+
+    ``(key, value)`` is ``((k, max_lhs), FreeClosedResult)``, ``(None,
+    [(key, Partition), ...])`` for a bundle, ``(provider, export_cache())``,
+    ``(engine key, (cfds, stats))`` or ``(params, checkpoint state)``.
+
+    Fixed-key kinds (bundles, query caches) hold one entry per relation, so
+    a write is read→union→write (the session's items win; an unreadable
+    entry merges as empty) under the store's cross-process lock: two
+    workers racing it would drop each other's additions.  The lock is
+    best-effort; a timeout degrades to the racy merge, never a failure.
+    """
+    codec = _CODECS[kind]
+    params = codec.params(key)
+    if params is None:
+        return False
+    merging = codec.merge_key is not None
+    scope = ".".join([kind, *map(str, params.values())])
+    with store.lock(fingerprint, scope) if merging else contextlib.nullcontext():
+        if merging:
+            stored = load_structure(store, fingerprint, kind, key) or []
+            held = {codec.merge_key(item) for item in value}
+            value = list(value) + [
+                item for item in stored if codec.merge_key(item) not in held
+            ]
+        packed = codec.pack(value)
+        if packed is None:
+            return False
+        meta, arrays = packed
+        meta["build_seconds"] = build_seconds
+        store.put(fingerprint, kind, params, meta=meta, arrays=arrays)
+    return True
+
+
+def load_structure(store: CacheStore, fingerprint: str, kind: str, key: object):
+    """The in-memory value stored under one key, or ``None`` when the entry
+    is missing or fails to decode."""
+    codec = _CODECS[kind]
+    entry = store.get(fingerprint, kind, codec.params(key))
+    if entry is None:
+        return None
+    try:
+        return codec.unpack(entry)
+    except Exception:  # noqa: BLE001 - a bad entry degrades to cold
+        return None
+
+
+def load_structures(
+    store: CacheStore, fingerprint: str
+) -> Iterator[Tuple[str, object, object, float]]:
+    """``(kind, key, value, build_seconds)`` of every decodable structure of
+    one relation, in warm-load order, as :func:`dump_structure` took them.
+    Bad entries are skipped; checkpoints and unknown kinds are left alone."""
+    for entry in store.load_all(fingerprint):
+        if entry.kind not in KIND_ORDER:
+            continue
+        codec = _CODECS[entry.kind]
+        try:
+            key = codec.key(entry.params)
+            value = codec.unpack(entry)
+            seconds = float(entry.meta.get("build_seconds") or 0.0)
+        except Exception:  # noqa: BLE001 - any bad entry degrades to cold
+            continue
+        yield entry.kind, key, value, seconds
 
 
 __all__ = [
@@ -1225,6 +1247,9 @@ __all__ = [
     "KIND_FREE_CLOSED",
     "KIND_PATTERN_PARTITIONS",
     "KIND_ORDER",
+    "dump_structure",
+    "load_structure",
+    "load_structures",
     "pack_ctane_checkpoint",
     "pack_engine_result",
     "pack_free_closed",

@@ -193,6 +193,27 @@ class TestExecution:
         with pytest.raises(DiscoveryError, match="unknown algorithm"):
             Profiler(relation).run(DiscoveryRequest(algorithm="nope"))
 
+    @pytest.mark.parametrize(
+        "algorithm, option",
+        [
+            ("ctane", "bogus"),
+            ("ctane", "checkpoint"),  # wiring, never a request option
+            ("cfdminer", "mining_result"),
+            ("fastcfd", "free_result"),
+            ("naivefast", "progress"),
+            ("dfd", "session"),
+        ],
+    )
+    def test_unknown_engine_option_rejected(self, relation, algorithm, option):
+        request = DiscoveryRequest(
+            min_support=2, algorithm=algorithm, options={option: 1}
+        )
+        with pytest.raises(DiscoveryError, match=option) as raised:
+            execute(relation, request)
+        assert "accepted:" in str(raised.value)
+        with pytest.raises(DiscoveryError, match=option):
+            Profiler(relation).run(request)
+
 
 class TestWideRelations:
     """Every engine serves >62-attribute relations (the old pairwise bitmask

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.api import REGISTRY, DiscoveryRequest, discover
 from repro.core.cfdminer import CFDMiner
 from repro.core.ctane import CTane
 from repro.core.dfd import DFD
-from repro.core.discovery import ALGORITHMS, choose_algorithm, discover
 from repro.core.fastcfd import FastCFD, NaiveFast
 from repro.exceptions import DiscoveryError
 from repro.relational.relation import Relation
@@ -23,7 +23,7 @@ DIRECT = {
 class TestDiscoverShim:
     def test_algorithms_tuple_tracks_the_registry(self):
         # The seed names stay, in order; later PRs may append engines.
-        assert ALGORITHMS == (
+        assert REGISTRY.choices() == (
             "cfdminer", "ctane", "fastcfd", "naivefast", "dfd", "auto"
         )
 
@@ -69,18 +69,22 @@ class TestDiscoverShim:
 
 
 class TestChooseAlgorithmShim:
+    """The seed's ``choose_algorithm(r, k)`` is now
+    ``REGISTRY.select(r, DiscoveryRequest(min_support=k))``."""
+
     def test_wide_relation_prefers_fastcfd(self):
         wide = Relation.from_rows(
             [f"A{i}" for i in range(12)], [tuple(range(12)), tuple(range(12))]
         )
-        assert choose_algorithm(wide, 2) == "fastcfd"
+        assert REGISTRY.select(wide, DiscoveryRequest(min_support=2)) == "fastcfd"
 
     def test_high_support_prefers_ctane(self):
         small = Relation.from_rows(
             ["A", "B", "C"], [(1, 5, "p"), (1, 5, "q"), (2, 6, "p"), (2, 6, "q")]
         )
-        assert choose_algorithm(small, 2) == "ctane"  # k/|r| = 0.5
+        # k/|r| = 0.5
+        assert REGISTRY.select(small, DiscoveryRequest(min_support=2)) == "ctane"
 
     def test_low_support_prefers_fastcfd(self):
         tall = Relation.from_rows(["A", "B"], [(i % 5, i % 3) for i in range(100)])
-        assert choose_algorithm(tall, 2) == "fastcfd"
+        assert REGISTRY.select(tall, DiscoveryRequest(min_support=2)) == "fastcfd"

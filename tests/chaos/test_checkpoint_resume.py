@@ -101,22 +101,6 @@ class TestEngineCheckpointing:
         assert resumed.candidates_checked == full.candidates_checked
         assert resumed.elements_generated == full.elements_generated
 
-    def test_mismatched_incremental_mode_discards_the_checkpoint(self):
-        recorder = RecordingCheckpoint()
-        CTane(
-            fresh_relation(), 2, incremental_partitions=True, checkpoint=recorder
-        ).discover()
-        state = recorder.saved[-1]
-        assert state["incremental"] is True
-        resumed = CTane(
-            fresh_relation(),
-            2,
-            incremental_partitions=False,
-            checkpoint=RecordingCheckpoint(preload=state),
-        )
-        resumed.discover()
-        assert resumed.resumed_level is None  # stale state was not trusted
-
 
 class TestCheckpointSerialization:
     def test_pack_unpack_round_trips_through_the_store(self, tmp_path):

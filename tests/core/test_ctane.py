@@ -94,12 +94,6 @@ class TestCTaneOptions:
         verified = set(CTane(relation, 2, verify_minimality=True).discover())
         assert raw == verified
 
-    def test_incremental_partitions_byte_identical_to_scan(self, relation):
-        for k in (1, 2, 3):
-            incremental = CTane(relation, k).discover()
-            legacy = CTane(relation, k, incremental_partitions=False).discover()
-            assert incremental == legacy  # same CFDs in the same order
-
     def test_incremental_equals_bruteforce_on_random_relations(self):
         import numpy as np
 
@@ -112,9 +106,6 @@ class TestCTaneOptions:
             r = Relation.from_rows(["A", "B", "C"], rows)
             for k in (1, 2):
                 found = CTane(r, k).discover()
-                assert found == CTane(
-                    r, k, incremental_partitions=False
-                ).discover()
                 assert set(found) == discover_bruteforce(r, k)
 
     def test_session_shares_attribute_partitions(self, relation):

@@ -1,13 +1,8 @@
-"""Unit tests for the unified discovery front-end."""
+"""Unit tests for the keyword discovery front end, ``repro.api.discover``."""
 
 import pytest
 
-from repro.core.discovery import (
-    ALGORITHMS,
-    DiscoveryResult,
-    choose_algorithm,
-    discover,
-)
+from repro.api import REGISTRY, discover
 from repro.exceptions import DiscoveryError
 from repro.relational.relation import Relation
 
@@ -62,7 +57,7 @@ class TestDiscoverFrontend:
 
     def test_auto_runs(self, relation):
         result = discover(relation, 2, algorithm="auto")
-        assert result.algorithm in ALGORITHMS
+        assert result.algorithm in REGISTRY.choices()
 
     def test_max_lhs_size_forwarded(self, relation):
         result = discover(relation, 1, algorithm="ctane", max_lhs_size=1)
@@ -70,15 +65,19 @@ class TestDiscoverFrontend:
 
 
 class TestChooseAlgorithm:
+    """``algorithm="auto"`` through the front end runs the engine the
+    relation's shape calls for."""
+
     def test_wide_relation_prefers_fastcfd(self):
         wide = Relation.from_rows(
             [f"A{i}" for i in range(12)], [tuple(range(12)), tuple(range(12))]
         )
-        assert choose_algorithm(wide, 2) == "fastcfd"
+        assert discover(wide, 2, algorithm="auto").algorithm == "fastcfd"
 
     def test_high_support_prefers_ctane(self, relation):
-        assert choose_algorithm(relation, 2) == "ctane"  # k/|r| = 0.5
+        # k/|r| = 0.5
+        assert discover(relation, 2, algorithm="auto").algorithm == "ctane"
 
     def test_low_support_prefers_fastcfd(self):
         tall = Relation.from_rows(["A", "B"], [(i % 5, i % 3) for i in range(100)])
-        assert choose_algorithm(tall, 2) == "fastcfd"
+        assert discover(tall, 2, algorithm="auto").algorithm == "fastcfd"

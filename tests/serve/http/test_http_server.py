@@ -241,6 +241,18 @@ class TestErrorTaxonomy:
         assert status == 400
         assert document["error"]["code"] == "discovery_error"
 
+    @pytest.mark.parametrize("options", [{"bogus": 1}, {"checkpoint": 1}])
+    def test_unknown_engine_option_is_400(self, server, options):
+        status, _, document = json_request(
+            server, "POST", "/v1/discover",
+            {"attributes": ["A", "B"], "rows": [["1", "x"], ["1", "x"]],
+             "support": 1, "algorithm": "ctane", "options": options},
+        )
+        assert status == 400
+        assert document["error"]["code"] == "discovery_error"
+        assert next(iter(options)) in document["error"]["message"]
+        assert "cplus_pruning" in document["error"]["message"]
+
     def test_protocol_error_is_answered_on_the_socket(self, server):
         status, _, data = request(
             server, "POST", "/v1/discover", body=b"x",

@@ -265,12 +265,54 @@ class TestPackHelpers:
             (rhs, items, family) for rhs, items, family in exported
         )
 
-    def test_engine_result_with_exotic_values_is_not_persisted(self):
+    def test_engine_result_with_exotic_values_is_not_persisted(self, store):
         from repro.api.result import AlgorithmStats
         from repro.core.cfd import CFD
+        from repro.core.pattern import WILDCARD
 
         cfd = CFD(("A",), ((1, 2),), "B", "x")  # tuple-valued constant
         assert (
             store_format.pack_engine_result((cfd,), AlgorithmStats(algorithm="t"))
             is None
         )
+        # The checkpoint path refuses the same rule.
+        state = {
+            "size": 2, "level": [], "parent_cplus": {}, "parent_partitions": {},
+            "level_partitions": {}, "counters": {}, "results": [cfd],
+        }
+        assert store_format.pack_ctane_checkpoint(state) is None
+
+        # Scalar constants round-trip exactly (type included) on both paths.
+        scalars = [
+            CFD(("A", "B"), (value, WILDCARD), "C", value)
+            for value in (None, True, False, 0, 1.5, -0.25, "", "Zürich ✓")
+        ]
+
+        def typed(cfds):
+            return [
+                (
+                    cfd.lhs,
+                    [(type(v), v) for v in cfd.lhs_pattern],
+                    cfd.rhs,
+                    (type(cfd.rhs_pattern), cfd.rhs_pattern),
+                )
+                for cfd in cfds
+            ]
+
+        meta = store_format.pack_engine_result(
+            scalars, AlgorithmStats(algorithm="t")
+        )
+        store.put("fp", "engine_results", {"s": 1}, meta=meta)
+        restored, _ = store_format.unpack_engine_result(
+            store.get("fp", "engine_results", {"s": 1}).meta
+        )
+        assert typed(restored) == typed(scalars)
+
+        meta, arrays = store_format.pack_ctane_checkpoint(
+            dict(state, results=scalars)
+        )
+        store.put("fp", "ctane_checkpoint", {"s": 1}, meta=meta, arrays=arrays)
+        restored = store_format.unpack_ctane_checkpoint(
+            store.get("fp", "ctane_checkpoint", {"s": 1})
+        )
+        assert typed(restored["results"]) == typed(scalars)
