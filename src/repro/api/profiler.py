@@ -635,12 +635,12 @@ class Profiler:
         return f"{key}_difference_sets" if kind == KIND_DIFFERENCE_SETS else kind
 
     def dump_caches(self, store: "CacheStore") -> int:
-        """Spill every completed session structure into ``store``.
+        """Spill every completed structure worth persisting into ``store``.
 
         One entry per ``(fingerprint, kind, params)`` key: free/closed mining
-        results per threshold, the attribute- and pattern-partition bundles,
-        each difference-set provider's query cache, and every memoised engine
-        result whose cover survives a JSON round trip byte-identically.
+        results per threshold, each difference-set provider's query cache,
+        and every memoised engine result whose cover survives a JSON round
+        trip byte-identically.  Partitions are cheaper to rebuild than read.
         Returns the number of entries written; structures still being built
         (pending futures) are skipped.  Raises
         :class:`~repro.exceptions.CacheStoreError` on write failures.
@@ -656,12 +656,6 @@ class Profiler:
                 (sf.KIND_ENGINE_RESULTS, key, self._completed(future))
                 for key, future in self._engine_results.items()
             ]
-            # An empty bundle writes nothing (None, like a pending build).
-            for kind, cache in (
-                (sf.KIND_ATTRIBUTE_PARTITIONS, self._partitions),
-                (sf.KIND_PATTERN_PARTITIONS, self._pattern_partitions),
-            ):
-                structures.append((kind, None, list(cache.items()) or None))
             providers = {k: self._completed(f) for k, f in self._providers.items()}
         # Providers export outside the session lock: they take their own.
         for name, provider in providers.items():
@@ -696,13 +690,6 @@ class Profiler:
             if kind == sf.KIND_FREE_CLOSED:
                 with self._lock:
                     self._free_closed.setdefault(key, self._completed_future(value))
-            elif kind == sf.KIND_ATTRIBUTE_PARTITIONS:
-                with self._lock:
-                    for attributes, partition in value:
-                        self._partitions.setdefault(attributes, partition)
-            elif kind == sf.KIND_PATTERN_PARTITIONS:
-                for element, partition in value:
-                    self.store_pattern_partition(element, partition)
             elif kind == sf.KIND_DIFFERENCE_SETS:
                 if not self._warm_provider(key, value):
                     continue

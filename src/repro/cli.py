@@ -401,7 +401,7 @@ def _run_batch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
                 results_json[index] = {"error": str(exc)}
         elapsed = time.perf_counter() - started
     # Exiting the context ran shutdown(wait=True): the pool spilled into the
-    # store (once — spilling here too would rewrite every bundle twice) and
+    # store (once — spilling here too would rewrite every entry twice) and
     # every done-callback has run, so the latency aggregates cover the batch.
     info = service.info()
     stats = service.stats() if args.stats else None

@@ -36,8 +36,8 @@ walk statistics (nodes visited, partitions computed, restarts) vary.
 
 Fault behaviour: unlike CTANE there is no per-level frontier to snapshot, so
 DFD does **not** checkpoint; a killed run degrades gracefully to a
-deterministic re-run that warm-starts from the persisted pattern-partition
-and free/closed caches (see DESIGN.md, "Checkpoint or degrade").
+deterministic re-run that reuses the session's partition caches and the
+persisted free/closed caches (see DESIGN.md, "Checkpoint or degrade").
 """
 
 from __future__ import annotations

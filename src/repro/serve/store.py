@@ -19,7 +19,7 @@ One file per entry::
 The header carries the store format version, the fingerprint, kind and params
 of the entry, a JSON-native ``meta`` payload, the dtype/shape manifest of
 the numpy buffers that follow (``np.save``-style raw C-order bytes, no
-pickling anywhere), and a BLAKE2b digest over those buffers.  Loads are
+pickling anywhere), and a BLAKE2b digest of header and buffers.  Loads are
 defensive — every one of these failures makes :meth:`CacheStore.get` return
 ``None`` (callers fall back to a cold build) instead of raising:
 
@@ -28,7 +28,7 @@ defensive — every one of these failures makes :meth:`CacheStore.get` return
 * a dtype outside the fixed allowlist, or buffers shorter than the manifest
   promises (truncated/corrupted files);
 * a payload digest that does not match the header's (bit rot, torn or
-  patched buffers);
+  patched buffers, a patched meta or manifest);
 * a header fingerprint that does not match the requested one (the
   re-verification that catches moved or mixed-up files);
 * params recorded in the header differing from the requested params.
@@ -45,11 +45,11 @@ directory and ``os.replace``d into place, so concurrent readers in other
 worker processes only ever observe complete entries.
 
 The module is also the only payload codec, each encoding written once, for
-every persisted structure kind: free/closed mining results, attribute and
-pattern partition bundles, difference-set provider query caches, engine
-results and CTANE checkpoints.  :class:`~repro.api.Profiler` hands
-in-memory keys and values to :func:`dump_structure` and takes them back
-from :func:`load_structures`; it owns no format knowledge.
+every persisted structure kind: free/closed mining results, difference-set
+provider query caches, engine results and CTANE checkpoints (session
+partition caches are rebuilt, not persisted).  :class:`~repro.api.Profiler`
+hands in-memory keys and values to :func:`dump_structure` and takes them
+back from :func:`load_structures`; it owns no format knowledge.
 """
 
 from __future__ import annotations
@@ -94,8 +94,6 @@ from repro.serve.faults import (
 #: closed difference-set provider is rebuilt from the free/closed result, so
 #: mining entries must land first).
 KIND_FREE_CLOSED = "free_closed"
-KIND_ATTRIBUTE_PARTITIONS = "attribute_partitions"
-KIND_PATTERN_PARTITIONS = "pattern_partitions"
 KIND_DIFFERENCE_SETS = "difference_sets"
 KIND_ENGINE_RESULTS = "engine_results"
 #: Mid-run lattice frontier of a CTANE run (resume-after-crash); not part of
@@ -104,8 +102,6 @@ KIND_ENGINE_RESULTS = "engine_results"
 KIND_CTANE_CHECKPOINT = "ctane_checkpoint"
 KIND_ORDER = (
     KIND_FREE_CLOSED,
-    KIND_ATTRIBUTE_PARTITIONS,
-    KIND_PATTERN_PARTITIONS,
     KIND_DIFFERENCE_SETS,
     KIND_ENGINE_RESULTS,
 )
@@ -125,9 +121,14 @@ def is_json_scalar(value: object) -> bool:
     return isinstance(value, _JSON_SCALARS)
 
 
-def _canonical_params(params: Dict[str, object]) -> str:
-    """Deterministic JSON rendering of an entry's params (the key suffix)."""
-    return json.dumps(params, sort_keys=True, separators=(",", ":"))
+def _canonical_json(value: object) -> str:
+    """Deterministic JSON rendering of entry params and headers."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+#: A header's closing field.  The digest covers the header bytes before it
+#: (identity, params, meta and manifest, in canonical JSON), then the buffers.
+_DIGEST_FIELD = b',"payload_digest":"%s"}'
 
 
 @dataclass
@@ -171,17 +172,16 @@ class CacheStore:
 
     The store itself is format-only: it reads and writes
     :class:`StoreEntry` records and never interprets the payloads — the
-    pack/unpack helpers of this module and
-    :meth:`~repro.api.Profiler.dump_caches` /
-    :meth:`~repro.api.Profiler.warm_from` do.
+    codec functions of this module (:func:`dump_structure`,
+    :func:`load_structure`, :func:`load_structures`) do.
     """
 
     #: Bump whenever the binary layout or any kind's payload schema changes;
     #: readers skip entries written under any other version.  Version 2 added
     #: the mandatory ``payload_digest`` header field (BLAKE2b over the raw
     #: array buffers, verified on every full load); version 3 moved CTANE
-    #: checkpoints onto the shared lattice-element encoding.
-    FORMAT_VERSION = 3
+    #: checkpoints onto the shared lattice-element encoding; 4 digests headers.
+    FORMAT_VERSION = 4
     MAGIC = b"RPROCS01"
     _SUFFIX = ".rpc"
     #: Corrupt entries are moved here (flattened ``<fingerprint>-<entry>``
@@ -235,7 +235,7 @@ class CacheStore:
 
     def _entry_path(self, fingerprint: str, kind: str, params: Dict) -> Path:
         digest = hashlib.blake2b(
-            _canonical_params(params).encode("utf-8"), digest_size=6
+            _canonical_json(params).encode("utf-8"), digest_size=6
         ).hexdigest()
         return self._root / fingerprint / f"{kind}-{digest}{self._SUFFIX}"
 
@@ -299,14 +299,12 @@ class CacheStore:
             "params": params,
             "meta": meta or {},
             "arrays": manifest,
-            "payload_digest": self._payload_digest(buffers),
         }
         try:
-            blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
-                "utf-8"
-            )
+            body = _canonical_json(header).encode("utf-8")[:-1]
         except (TypeError, ValueError) as exc:
             raise CacheStoreError(f"entry header is not JSON-native: {exc}") from exc
+        blob = body + _DIGEST_FIELD % self._payload_digest([body, *buffers]).encode()
         chunks = [self.MAGIC, struct.pack("<Q", len(blob)), blob, *buffers]
         path = self._entry_path(fingerprint, kind, params)
         torn_fraction = self._visit_fault(FAULT_POINT_STORE_PUT)
@@ -354,8 +352,8 @@ class CacheStore:
         entry: the one header reader, for full loads, shallow fsck and gc.
 
         Checks magic, header, version, digest field, dtypes and that the file
-        holds every byte the manifest promises (CacheStoreError otherwise);
-        the digest itself is left to :meth:`_load_path`.
+        holds every byte the manifest promises, plus the digest itself when
+        the payload is read (CacheStoreError otherwise).
         """
         try:
             with path.open("rb") as stream:
@@ -412,6 +410,16 @@ class CacheStore:
                 f"{path} is truncated ({available} payload bytes, manifest "
                 f"promises {promised})"
             )
+        if buffers is not None:
+            expected = header["payload_digest"]
+            field = _DIGEST_FIELD % expected.encode("utf-8")
+            covered = blob[: -len(field)] if blob.endswith(field) else blob
+            actual = self._payload_digest([covered, memoryview(buffers)[:promised]])
+            if actual != expected:
+                raise CacheStoreError(
+                    f"{path} fails its payload digest "
+                    f"(header {expected}, computed {actual})"
+                )
         return header, manifest, buffers
 
     def _load_path(self, path: Path) -> StoreEntry:
@@ -425,12 +433,6 @@ class CacheStore:
                 buffers, dtype=dtype, count=count, offset=offset
             ).reshape(shape)
             offset += count * dtype.itemsize
-        actual = self._payload_digest([memoryview(buffers)[:offset]])
-        if actual != header["payload_digest"]:
-            raise CacheStoreError(
-                f"{path} fails its payload digest "
-                f"(header {header['payload_digest']}, computed {actual})"
-            )
         return StoreEntry(
             fingerprint=header.get("fingerprint", ""),
             kind=header.get("kind", ""),
@@ -485,7 +487,7 @@ class CacheStore:
             or (kind is not None and entry.kind != kind)
             or (
                 params is not None
-                and _canonical_params(entry.params) != _canonical_params(params)
+                and _canonical_json(entry.params) != _canonical_json(params)
             )
         ):
             self.load_failures += 1
@@ -522,9 +524,9 @@ class CacheStore:
         """A cross-process lock over one ``(fingerprint, kind)`` merge scope.
 
         Two workers sharing a store directory both run read→union→write on
-        the fixed-key bundle entries during spill; without mutual exclusion
-        the slower writer silently drops the faster one's additions.  The
-        lock is an ``O_CREAT | O_EXCL`` file (``.lock-<kind>`` inside the
+        a provider's query cache during spill; without mutual exclusion the
+        slower writer silently drops the faster one's additions.  The lock
+        is an ``O_CREAT | O_EXCL`` file (``.lock-<kind>`` inside the
         relation's directory — dot-prefixed, so entry walks skip it) retried
         every :attr:`LOCK_RETRY_SECONDS`.  Locks older than
         :attr:`LOCK_STALE_SECONDS` are presumed abandoned by a crashed
@@ -893,18 +895,16 @@ def unpack_free_closed(entry: StoreEntry):
     )
 
 
-# partition bundles ----------------------------------------------------- #
+# partition bundles (the two of a CTANE checkpoint) --------------------- #
 def pack_partition_bundle(
-    items: Iterable[Tuple[object, object]],
-    encode_key: Callable[[object], object],
-    prefix: str = "",
+    items: Iterable[Tuple[Tuple, object]], prefix: str
 ) -> Tuple[Dict, Dict[str, np.ndarray]]:
-    """``(meta, arrays)`` of ``[(key, Partition), ...]``.
+    """``(meta, arrays)`` of ``[(lattice element, Partition), ...]``.
 
     The compressed covered form of every partition (sorted int64 row indices
     plus int32 class labels) is concatenated into two buffers; the encoded
-    keys and per-partition counts ride in the meta.  Every meta and array
-    field is named ``prefix + field``, so one entry can carry several
+    elements and per-partition counts ride in the meta.  Every meta and
+    array field is named ``prefix + field``, so one entry can carry several
     bundles (a checkpoint carries two).
     """
     keys = []
@@ -913,7 +913,7 @@ def pack_partition_bundle(
     label_chunks = [np.empty(0, dtype=np.int32)]
     offsets = [0]
     for key, partition in items:
-        keys.append(encode_key(key))
+        keys.append(_encode_element(key))
         shapes.append(
             [int(partition.n_rows), int(partition.n_classes), int(partition.size)]
         )
@@ -930,9 +930,9 @@ def pack_partition_bundle(
 
 
 def unpack_partition_bundle(
-    entry: StoreEntry, decode_key: Callable[[object], object], prefix: str = ""
-) -> List[Tuple[object, object]]:
-    """Rebuild ``[(key, Partition), ...]`` from a bundle entry."""
+    entry: StoreEntry, prefix: str
+) -> List[Tuple[Tuple, object]]:
+    """Rebuild ``[(lattice element, Partition), ...]`` from a bundle entry."""
     from repro.relational.partition import Partition
 
     rows = entry.array(prefix + "rows", "int64")
@@ -953,7 +953,7 @@ def unpack_partition_bundle(
         partition = Partition.from_covered(
             rows[lo:hi], labels[lo:hi], n_rows, n_classes, size=size
         )
-        out.append((decode_key(key), partition))
+        out.append((_decode_element(key), partition))
     return out
 
 
@@ -1061,7 +1061,7 @@ def pack_ctane_checkpoint(state: Dict) -> Optional[Tuple[Dict, Dict[str, np.ndar
     arrays: Dict[str, np.ndarray] = {}
     for prefix, name in _CHECKPOINT_BUNDLES:
         bundle_meta, bundle_arrays = pack_partition_bundle(
-            state[name].items(), _encode_element, prefix
+            state[name].items(), prefix
         )
         meta.update(bundle_meta)
         arrays.update(bundle_arrays)
@@ -1082,7 +1082,7 @@ def unpack_ctane_checkpoint(entry: StoreEntry) -> Dict:
         "counters": {key: int(value) for key, value in meta["counters"].items()},
     }
     for prefix, name in _CHECKPOINT_BUNDLES:
-        state[name] = dict(unpack_partition_bundle(entry, _decode_element, prefix))
+        state[name] = dict(unpack_partition_bundle(entry, prefix))
     return state
 
 
@@ -1091,11 +1091,11 @@ def unpack_ctane_checkpoint(entry: StoreEntry) -> Dict:
 # ---------------------------------------------------------------------- #
 class _Codec(NamedTuple):
     """How one kind travels: its value as payload, its key as entry params;
-    fixed-key kinds name ``merge_key``, the identity of a bundle item."""
+    merged kinds name ``merge_key``, the identity of one merged item."""
 
     pack: Callable[[object], Optional[Tuple[Dict, Dict[str, np.ndarray]]]]
     unpack: Callable[[StoreEntry], object]
-    params: Callable[[object], Optional[Dict[str, object]]] = lambda key: {}
+    params: Callable[[object], Optional[Dict[str, object]]]
     key: Callable[[Dict[str, object]], object] = lambda params: None
     merge_key: Optional[Callable[[Tuple], object]] = None
 
@@ -1127,16 +1127,6 @@ _CODECS: Dict[str, _Codec] = {
         unpack=unpack_free_closed,
         params=lambda key: {"k": int(key[0]), "max_lhs": key[1]},
         key=lambda params: (params["k"], params["max_lhs"]),
-    ),
-    KIND_ATTRIBUTE_PARTITIONS: _Codec(
-        pack=lambda items: pack_partition_bundle(items, list),
-        unpack=lambda entry: unpack_partition_bundle(entry, tuple),
-        merge_key=itemgetter(0),
-    ),
-    KIND_PATTERN_PARTITIONS: _Codec(
-        pack=lambda items: pack_partition_bundle(items, _encode_element),
-        unpack=lambda entry: unpack_partition_bundle(entry, _decode_element),
-        merge_key=itemgetter(0),
     ),
     KIND_DIFFERENCE_SETS: _Codec(
         pack=lambda exported: _meta_only(pack_query_cache(exported)),
@@ -1171,15 +1161,15 @@ def dump_structure(
 ) -> bool:
     """Write one in-memory structure; ``False`` if it is not storable.
 
-    ``(key, value)`` is ``((k, max_lhs), FreeClosedResult)``, ``(None,
-    [(key, Partition), ...])`` for a bundle, ``(provider, export_cache())``,
-    ``(engine key, (cfds, stats))`` or ``(params, checkpoint state)``.
+    ``(key, value)`` is ``((k, max_lhs), FreeClosedResult)``, ``(provider,
+    export_cache())``, ``(engine key, (cfds, stats))`` or ``(params,
+    checkpoint state)``.
 
-    Fixed-key kinds (bundles, query caches) hold one entry per relation, so
-    a write is read→union→write (the session's items win; an unreadable
-    entry merges as empty) under the store's cross-process lock: two
-    workers racing it would drop each other's additions.  The lock is
-    best-effort; a timeout degrades to the racy merge, never a failure.
+    A provider's query cache holds one entry per relation, so its write is
+    read→union→write (the session's items win; an unreadable entry merges
+    as empty) under the store's cross-process lock: two workers racing it
+    would drop each other's additions.  The lock is best-effort; a timeout
+    degrades to the racy merge, never a failure.
     """
     codec = _CODECS[kind]
     params = codec.params(key)
@@ -1240,12 +1230,10 @@ __all__ = [
     "CacheStore",
     "StoreEntry",
     "is_json_scalar",
-    "KIND_ATTRIBUTE_PARTITIONS",
     "KIND_CTANE_CHECKPOINT",
     "KIND_DIFFERENCE_SETS",
     "KIND_ENGINE_RESULTS",
     "KIND_FREE_CLOSED",
-    "KIND_PATTERN_PARTITIONS",
     "KIND_ORDER",
     "dump_structure",
     "load_structure",

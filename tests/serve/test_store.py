@@ -178,23 +178,6 @@ class TestProfilerRoundTrip:
         assert info["closed_difference_sets"]["hits"] == 1  # provider was
         assert info["closed_difference_sets"]["misses"] == 0
 
-    def test_ctane_pattern_partitions_survive(self, store):
-        warmed = Profiler(fresh_relation())
-        warmed.run(DiscoveryRequest(min_support=1, algorithm="ctane"))
-        assert warmed.cache_info()["pattern_partitions"]["size"] > 0
-        warmed.dump_caches(store)
-
-        reloaded = Profiler(fresh_relation())
-        reloaded.warm_from(store)
-        info = reloaded.cache_info()
-        assert (
-            info["pattern_partitions"]["size"]
-            == warmed.cache_info()["pattern_partitions"]["size"]
-        )
-        # A different-support CTANE run hits the loaded lattice partitions.
-        reloaded.run(DiscoveryRequest(min_support=2, algorithm="ctane"))
-        assert reloaded.cache_info()["pattern_partitions"]["hits"] > 0
-
     def test_build_seconds_restored_for_cost_aware_eviction(self, store):
         warmed = Profiler(fresh_relation())
         warmed.run(DiscoveryRequest(min_support=2, algorithm="fastcfd"))
@@ -234,22 +217,27 @@ class TestProfilerRoundTrip:
 
     def test_bundle_dumps_merge_instead_of_clobbering(self, store):
         """Two workers over one relation: the colder worker's later dump
-        must not erase the warmer worker's pattern partitions (bundles live
-        under one fixed store key per relation)."""
+        must not erase the warmer worker's difference-set queries (a
+        provider's query cache lives under one fixed store key per
+        relation).  Query caches nest by k, so k=1 holds every k=4 query."""
+
+        def query_cache_size(profiler):
+            return len(profiler.closed_difference_sets().export_cache())
+
         warm_worker = Profiler(fresh_relation())
-        warm_worker.run(DiscoveryRequest(min_support=1, algorithm="ctane"))
-        rich = warm_worker.cache_info()["pattern_partitions"]["size"]
+        warm_worker.run(DiscoveryRequest(min_support=1, algorithm="fastcfd"))
+        rich = query_cache_size(warm_worker)
         warm_worker.dump_caches(store)
 
         cold_worker = Profiler(fresh_relation())  # never saw the store
-        cold_worker.run(DiscoveryRequest(min_support=4, algorithm="ctane"))
-        poor = cold_worker.cache_info()["pattern_partitions"]["size"]
+        cold_worker.run(DiscoveryRequest(min_support=4, algorithm="fastcfd"))
+        poor = query_cache_size(cold_worker)
         assert poor < rich
         cold_worker.dump_caches(store)  # dumps last — used to clobber
 
         reloaded = Profiler(fresh_relation())
         reloaded.warm_from(store)
-        assert reloaded.cache_info()["pattern_partitions"]["size"] >= rich
+        assert query_cache_size(reloaded) >= rich
 
 
 class TestPackHelpers:

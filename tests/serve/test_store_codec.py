@@ -3,12 +3,13 @@
 A warmed session is dumped, a fresh session over an equal relation warms
 from that store and dumps into a second one; every entry of the second
 dump must carry exactly the meta and arrays of the first.  That pins each
-kind's encoder and decoder against each other, including the lattice
-elements of pattern partitions, the rules of engine results and the
-params of every key.
+kind's encoder and decoder against each other, including the rules of
+engine results and the params of every key.  The digest covers the header
+as well as the buffers, so a patched meta degrades to a cold build.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -43,25 +44,30 @@ def entries(store: CacheStore) -> dict:
     }
 
 
+#: The ``cache_info()`` buckets the store carries; partitions are rebuilt.
+PERSISTED_BUCKETS = (
+    "free_closed",
+    "closed_difference_sets",
+    "partition_difference_sets",
+    "engine_results",
+)
+
+
 def follow_up(session: Profiler, algorithm: str) -> dict:
     """Cache hits and misses of one run at a new support threshold."""
     before = session.cache_info()
     session.run(DiscoveryRequest(min_support=3, algorithm=algorithm))
     after = session.cache_info()
     return {
-        cache: (after[cache]["hits"] - counts["hits"],
-                after[cache]["misses"] - counts["misses"])
-        for cache, counts in before.items()
+        cache: (after[cache]["hits"] - before[cache]["hits"],
+                after[cache]["misses"] - before[cache]["misses"])
+        for cache in PERSISTED_BUCKETS
     }
 
 
 #: The kinds each warmed session writes; between them, every warm-load kind.
 SESSIONS = {
-    "ctane": {
-        store_format.KIND_ATTRIBUTE_PARTITIONS,
-        store_format.KIND_PATTERN_PARTITIONS,
-        store_format.KIND_ENGINE_RESULTS,
-    },
+    "ctane": {store_format.KIND_ENGINE_RESULTS},
     "fastcfd": {
         store_format.KIND_FREE_CLOSED,
         store_format.KIND_DIFFERENCE_SETS,
@@ -100,3 +106,45 @@ class TestDumpWarmDump:
             for name, array in entry.arrays.items():
                 assert again.arrays[name].dtype == array.dtype, (key, name)
                 assert np.array_equal(again.arrays[name], array), (key, name)
+
+
+class TestHeaderDigest:
+    def test_patched_meta_is_quarantined_not_served(self, tmp_path):
+        """A meta edit that stays valid JSON must fail the digest: adding an
+        item to every closure of the k=2 free/closed entry (buffers
+        untouched) used to warm-load and shrink the FastCFD cover."""
+
+        def relation() -> Relation:
+            return Relation.from_rows(list(ATTRIBUTES), ROWS[:5])
+
+        request = DiscoveryRequest(min_support=2, algorithm="fastcfd")
+        store = CacheStore(tmp_path / "cache")
+        warmed = Profiler(relation())
+        cold = warmed.run(request)
+        assert len(cold.cfds) == 48
+        warmed.dump_caches(store)
+        directory = store.root / relation().fingerprint()
+        for path in directory.glob("engine_results-*.rpc"):
+            path.unlink()  # so the warm run mines from the stored entry
+
+        (path,) = directory.glob("free_closed-*.rpc")
+        blob = path.read_bytes()
+        start = len(CacheStore.MAGIC) + 8
+        (length,) = struct.unpack("<Q", blob[len(CacheStore.MAGIC):start])
+        header = json.loads(blob[start:start + length])
+        assert header["params"]["k"] == 2
+        for spec in header["meta"]["sets"]:
+            spec["closure"].append([0, 0])
+        patched = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        path.write_bytes(
+            blob[:len(CacheStore.MAGIC)]
+            + struct.pack("<Q", len(patched))
+            + patched.encode("utf-8")
+            + blob[start + length:]
+        )
+
+        reloaded = Profiler(relation())
+        reloaded.warm_from(store)
+        warm = reloaded.run(request)
+        assert store.quarantined == 1
+        assert sorted(map(str, warm.cfds)) == sorted(map(str, cold.cfds))

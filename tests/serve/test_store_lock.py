@@ -1,11 +1,11 @@
 """The cross-process spill lock: mutual exclusion, staleness, degradation.
 
-Two workers sharing one ``--cache-dir`` both run read→union→write on the
-fixed-key bundle entries when they spill; the ``O_EXCL`` lock file
+Two workers sharing one ``--cache-dir`` both run read→union→write on a
+provider's query-cache entry when they spill; the ``O_EXCL`` lock file
 serializes those merges.  These tests pin the lock's contract (exclusive,
 self-cleaning, stale-breaking, best-effort under timeout) and then the
 actual regression: concurrent ``dump_caches`` of the *same* fingerprint
-from two sessions warming different structures must union, not clobber.
+from two sessions warming different queries must union, not clobber.
 """
 
 import threading
@@ -117,19 +117,30 @@ class TestLockPrimitive:
 
 class TestConcurrentSpill:
     def test_concurrent_dumps_of_same_fingerprint_union(self, store):
-        """The PR-6 regression: two workers spill the same relation at once.
+        """The spill race: two workers spill the same relation at once.
 
-        Each session warms a *different* attribute partition, then both dump
-        concurrently (barrier-released).  The fixed-key bundle merge used to
-        race read→union→write, so the slower writer dropped the faster one's
-        additions; under the lock the merged bundle must carry both."""
-        for _ in range(3):  # a few rounds to give a real race room to show
-            left = Profiler(fresh_relation())
-            right = Profiler(fresh_relation())
-            left.attribute_partition(("CC",))
-            left.attribute_partition(("CC", "AC"))
-            right.attribute_partition(("ZIP",))
-            right.attribute_partition(("CT", "ZIP"))
+        Each session asks its difference-set provider *different* queries,
+        then both dump concurrently (barrier-released).  A provider's query
+        cache lives under one fixed store key per relation; its merge used
+        to race read→union→write, so the slower writer dropped the faster
+        one's additions.  Under the lock the merged entry carries both."""
+        queries = {
+            side: [
+                (rhs, frozenset({(attribute, 0)}))
+                for attribute in attributes
+                for rhs in range(len(ATTRIBUTES))
+                if rhs != attribute
+            ]
+            for side, attributes in (("left", (0, 1, 2)), ("right", (3, 4, 5)))
+        }
+        for _ in range(20):  # many rounds give a real race room to show
+            store.clear()
+            sessions = {}
+            for side, asked in queries.items():
+                sessions[side] = Profiler(fresh_relation())
+                provider = sessions[side].partition_difference_sets()
+                for rhs, items in asked:
+                    provider.minimal_difference_sets(rhs, items)
 
             barrier = threading.Barrier(2, timeout=10)
             failures = []
@@ -142,48 +153,22 @@ class TestConcurrentSpill:
                     failures.append(exc)
 
             threads = [
-                threading.Thread(target=spill, args=(left,)),
-                threading.Thread(target=spill, args=(right,)),
+                threading.Thread(target=spill, args=(profiler,))
+                for profiler in sessions.values()
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=30)
+                assert not thread.is_alive()
             assert not failures
 
             reloaded = Profiler(fresh_relation())
             assert reloaded.warm_from(store) > 0
-            size = reloaded.cache_info()["attribute_partitions"]["size"]
-            # Both sessions' partitions survived the concurrent merge.
-            assert size >= 4, f"bundle lost entries in the race: size={size}"
-
-    def test_concurrent_full_runs_union_pattern_partitions(self, store):
-        """Same race through the ctane path (pattern-partition bundles)."""
-        warm = Profiler(fresh_relation())
-        warm.run(DiscoveryRequest(min_support=1, algorithm="ctane"))
-        rich = warm.cache_info()["pattern_partitions"]["size"]
-
-        cold = Profiler(fresh_relation())
-        cold.run(DiscoveryRequest(min_support=4, algorithm="ctane"))
-
-        barrier = threading.Barrier(2, timeout=10)
-
-        def spill(profiler):
-            barrier.wait()
-            profiler.dump_caches(store)
-
-        threads = [
-            threading.Thread(target=spill, args=(warm,)),
-            threading.Thread(target=spill, args=(cold,)),
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-
-        reloaded = Profiler(fresh_relation())
-        reloaded.warm_from(store)
-        assert reloaded.cache_info()["pattern_partitions"]["size"] >= rich
+            exported = reloaded.partition_difference_sets().export_cache()
+            merged = {(rhs, items) for rhs, items, _ in exported}
+            # Both sessions' queries survived the concurrent merge.
+            assert merged == set(queries["left"] + queries["right"]), merged
 
 
 class TestStoreBudget:
