@@ -14,7 +14,9 @@ same ``/v1`` API and adds, stdlib-only:
 * :class:`~repro.serve.fleet.router.FleetRouter` — forwarding with
   failover: a failed forward retries down the ring's preference list, and
   cached upload bodies are replayed so the successor warm-starts from the
-  shared :class:`~repro.serve.store.CacheStore`;
+  shared :class:`~repro.serve.store.CacheStore`.  It is a
+  :class:`~repro.serve.http.server.HttpEndpoint`, so it shares the worker's
+  connection loop, drain and request parsers;
 * :class:`~repro.serve.fleet.fairness.ClientRegistry` /
   :class:`~repro.serve.fleet.fairness.FairQueue` — per-client token-bucket
   rate limiting (``429`` + honest ``Retry-After``) and weighted-fair
@@ -22,7 +24,8 @@ same ``/v1`` API and adds, stdlib-only:
 * :class:`~repro.serve.fleet.metrics.FleetMetrics` — the router's own
   Prometheus exposition (forwards, failovers, throttles, ring state);
 * :class:`~repro.serve.fleet.router.RouterThread` — a real-socket router in
-  a side thread for tests, benchmarks and examples.
+  a side thread (the worker's thread host) for tests, benchmarks and
+  examples.
 
 See DESIGN.md ("Fleet topology") for the placement, failover and fairness
 model.

@@ -20,26 +20,26 @@ router pins each relation to one worker (consistent hashing), fails over to
 the ring successor when a worker dies or drains, rate-limits per client
 (``--client-rate``/``--client-burst``) and schedules contended forwards
 weighted-fair.  Workers sharing one ``--cache-dir`` hand warm sessions to
-each other across failovers through the persistent store.
+each other across failovers through the persistent store.  ``SIGTERM`` and
+``SIGINT`` drain the router the way they drain a worker: in-flight forwards
+finish (bounded by ``--deadline``), then the process exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
-import signal
 import sys
 from typing import Optional, Sequence
 
-from repro import obs
-from repro.obs.cli import (
-    add_observability_arguments,
-    configure_observability,
-    validate_observability,
-)
-from repro.obs.logs import EventLog
-from repro.serve.faults import fault_points_help, resolve_fault_plan
+from repro.obs.cli import configure_observability
+from repro.serve.faults import FaultPlan
 from repro.serve.fleet.router import FleetRouter, RouterConfig
+from repro.serve.http.cli import (
+    add_endpoint_arguments,
+    resolve_faults,
+    run_endpoint,
+    validate_endpoint_arguments,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,12 +49,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Route CFD discovery across repro-serve workers "
         "(consistent hashing + failover + per-client fairness).",
     )
-    parser.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
-    )
-    parser.add_argument(
-        "--port", type=int, default=8400,
-        help="TCP port; 0 picks an ephemeral port (default: 8400)",
+    add_endpoint_arguments(
+        parser,
+        port=8400,
+        max_queue=64,
+        deadline=60.0,
+        unit="forward",
+        fault_example="fleet.send:reset:p=0.2",
     )
     parser.add_argument(
         "--worker", action="append", default=[], metavar="URL",
@@ -77,18 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--forward-slots", type=int, default=16,
         help="concurrent forwards; more wait weighted-fair (default: 16)",
-    )
-    parser.add_argument(
-        "--max-queue", type=int, default=64,
-        help="forwards allowed to wait for a slot before 503 (default: 64)",
-    )
-    parser.add_argument(
-        "--deadline", type=float, default=60.0, metavar="SECONDS",
-        help="per-forward deadline; 0 disables it (default: 60)",
-    )
-    parser.add_argument(
-        "--max-body-bytes", type=int, default=32 * 2 ** 20,
-        help="request body cap in bytes (default: 32 MiB)",
     )
     parser.add_argument(
         "--health-interval", type=float, default=1.0, metavar="SECONDS",
@@ -132,17 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backoff-max", type=float, default=2.0, metavar="SECONDS",
         help="failover backoff ceiling (default: 2)",
     )
-    parser.add_argument(
-        "--fault", action="append", default=[], metavar="SPEC",
-        help="inject a deterministic fault, 'point:kind[:key=value,...]' "
-        "(repeatable; merged with $REPRO_FAULTS), e.g. "
-        "'fleet.send:reset:p=0.2'; points: " + fault_points_help(),
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=None, metavar="N",
-        help="seed of the fault plan's RNG (default: $REPRO_FAULT_SEED or 0)",
-    )
-    add_observability_arguments(parser)
     return parser
 
 
@@ -153,14 +131,10 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error("--vnodes must be at least 1")
     if args.forward_slots < 1:
         parser.error("--forward-slots must be at least 1")
-    if args.max_queue < 0:
-        parser.error("--max-queue must be at least 0")
     if args.client_rate < 0:
         parser.error("--client-rate must be at least 0")
     if args.client_burst < 1:
         parser.error("--client-burst must be at least 1")
-    if args.deadline < 0:
-        parser.error("--deadline must be at least 0")
     if args.health_interval <= 0:
         parser.error("--health-interval must be positive")
     if args.fail_after < 1:
@@ -177,22 +151,13 @@ def _validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None
         parser.error("--backoff-base must be at least 0")
     if args.backoff_max < 0:
         parser.error("--backoff-max must be at least 0")
-    validate_observability(args, parser)
+    validate_endpoint_arguments(args, parser)
 
 
 def config_from_args(
-    args: argparse.Namespace, log: Optional[EventLog] = None
+    args: argparse.Namespace, faults: Optional[FaultPlan]
 ) -> RouterConfig:
-    try:
-        faults = resolve_fault_plan(args.fault, args.fault_seed)
-    except ValueError as exc:
-        raise SystemExit(f"repro-fleet: {exc}")
-    if faults is not None:
-        (log or EventLog("router")).event(
-            "faults.active",
-            seed=faults.seed,
-            rules=[rule.spec() for rule in faults.rules()],
-        )
+    """The router configuration the parsed flags describe."""
     return RouterConfig(
         host=args.host,
         port=args.port,
@@ -217,47 +182,26 @@ def config_from_args(
     )
 
 
-async def serve(config: RouterConfig, log: Optional[EventLog] = None) -> None:
-    """Start the router, wire signals to a clean stop, run until stopped."""
-    log = log or EventLog("router")
-    router = FleetRouter(config)
-    await router.start()
-    loop = asyncio.get_running_loop()
-
-    def request_stop() -> None:
-        asyncio.ensure_future(router.stop())
-
-    for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            loop.add_signal_handler(signum, request_stop)
-        except (NotImplementedError, RuntimeError):  # pragma: no cover
-            pass  # platforms without loop signal support (Windows)
-    members = router.membership.members()
-    log.event(
-        "router.listening",
-        address=f"http://{config.host}:{router.port}",
-        workers_healthy=len(members),
-        workers_total=len(config.workers),
-        vnodes=config.vnodes,
-    )
-    await router.wait_stopped()
-    log.event("router.stopped")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``repro-fleet`` command; returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(args, parser)
     log = configure_observability(args, "router")
-    config = config_from_args(args, log)
+    config = config_from_args(args, resolve_faults(args, parser, log))
     try:
-        asyncio.run(serve(config, log))
+        return run_endpoint(
+            lambda: FleetRouter(config),
+            log,
+            "router",
+            lambda router: {
+                "workers_healthy": len(router.membership.members()),
+                "workers_total": len(config.workers),
+                "vnodes": config.vnodes,
+            },
+        )
     except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C fallback
-        pass
-    finally:
-        obs.get_tracer().close()
-    return 0
+        return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation

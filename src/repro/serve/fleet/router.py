@@ -28,22 +28,27 @@ with ``X-Client-Id``; anonymous connections get a per-connection identity.
 The router holds **no discovery state** — killing it loses nothing but the
 upload-body cache.  All heavy state stays in the workers and the shared
 store.
+
+The socket half is the worker's: :class:`FleetRouter` subclasses
+:class:`~repro.serve.http.server.HttpEndpoint`, so it shares the worker's
+keep-alive loop, protocol-error answers and graceful drain (``SIGTERM``
+finishes in-flight forwards, bounded by the forward deadline, while guarded
+routes answer ``503 draining``), and it parses uploads, batch envelopes and
+trace paths with the worker's own functions from
+:mod:`~repro.serve.http.app`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import random
-import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.devtools.lockcheck import maybe_watch_loop
 from repro.obs.export import build_tree
 from repro.obs.names import (
     SPAN_FLEET_FAILOVER,
@@ -68,20 +73,21 @@ from repro.serve.fleet.metrics import FleetMetrics
 from repro.serve.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.serve.http import errors
 from repro.serve.http.app import (
-    MAX_BATCH_REQUESTS,
-    relation_from_csv_text,
+    needs_admission,
+    parse_upload,
     relation_from_rows_document,
+    run_batch,
+    trace_id_of,
+    traces_summary,
 )
 from repro.serve.http.errors import ApiError
 from repro.serve.http.protocol import (
     DEFAULT_MAX_BODY_BYTES,
     HttpRequest,
     HttpResponse,
-    ProtocolError,
     error_response,
-    read_request,
-    write_response,
 )
+from repro.serve.http.server import EndpointThread, HttpEndpoint, Send
 
 #: Named relation references remembered for rewrite (LRU-bounded).
 MAX_TRACKED_NAMES = 4096
@@ -184,13 +190,14 @@ class UploadCache:
         return len(self._entries)
 
 
-class FleetRouter:
-    """The asyncio router process: accept loop, placement, failover, WFQ."""
+class FleetRouter(HttpEndpoint):
+    """The asyncio router process: placement, failover, WFQ."""
 
     def __init__(self, config: RouterConfig):
         if not config.workers:
             raise errors.ApiError(500, "internal", "router needs at least one worker")
-        self.config = config
+        # The drain waits for in-flight forwards as long as one may take.
+        super().__init__(config, config.request_timeout)
         self.ring = HashRing(config.vnodes)
         self.faults = config.faults
         self.client = WorkerClient(
@@ -216,113 +223,35 @@ class FleetRouter:
         self.metrics = FleetMetrics()
         self.uploads = UploadCache(config.upload_cache_bytes)
         self._names: "OrderedDict[str, str]" = OrderedDict()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._connections = itertools.count(1)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
-    async def start(self) -> None:
-        """Poll the roster once, then bind (``port=0`` → ephemeral port)."""
-        self._stopped = asyncio.Event()
+    async def _open(self) -> None:
+        """Poll the roster once, so the first request finds a ring."""
         await self.membership.start(initial_poll=True)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        sockets = self._server.sockets or []
-        if sockets:
-            self.config.port = sockets[0].getsockname()[1]
 
-    @property
-    def port(self) -> int:
-        return self.config.port
-
-    async def wait_stopped(self) -> None:
-        if self._stopped is None:
-            raise errors.ApiError(500, "internal", "router not started")
-        await self._stopped.wait()
-
-    async def stop(self) -> None:
-        """Close the listener, the poller and every pooled connection."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _close(self) -> None:
+        """Stop the poller and close every pooled worker connection."""
         await self.membership.stop()
         await self.client.close()
-        if self._stopped is not None:
-            self._stopped.set()
 
     # ------------------------------------------------------------------ #
-    # connection handling
+    # request handling
     # ------------------------------------------------------------------ #
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection_id = f"conn-{next(self._connections)}"
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader,
-                        writer,
-                        max_body_bytes=self.config.max_body_bytes,
-                        head_timeout=self.config.keep_alive_timeout,
-                    )
-                except asyncio.TimeoutError:
-                    break
-                except ProtocolError as exc:
-                    response = error_response(
-                        ApiError(exc.status, "protocol_error", exc.message)
-                    )
-                    await write_response(writer, response, keep_alive=False)
-                    break
-                if request is None:
-                    break
-                client_id = request.headers.get("x-client-id") or connection_id
-                keep_alive = request.keep_alive
-                await self._respond_and_write(request, writer, client_id, keep_alive)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except asyncio.CancelledError:
-            pass  # loop teardown cancels lingering keep-alive connections
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
     def _route_name(self, request: HttpRequest) -> str:
         method = "GET" if request.method == "HEAD" else request.method
         if request.path == "/v1/traces":
             return "traces"
-        if self._trace_id_of(request.path) is not None:
+        if trace_id_of(request.path) is not None:
             return "trace"
         return _ROUTES.get((method, request.path), "unrouted")
 
-    @staticmethod
-    def _trace_id_of(path: str) -> Optional[str]:
-        prefix = "/v1/traces/"
-        if not path.startswith(prefix):
-            return None
-        trace_id = path[len(prefix):]
-        if not trace_id or "/" in trace_id:
-            return None
-        return trace_id
-
-    async def _respond_and_write(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        client_id: str,
-        keep_alive: bool,
-    ) -> None:
+    async def _answer(self, request: HttpRequest, connection: str, send: Send) -> None:
         """Rate limit → fair queue → dispatch → relay; slot held until the
-        response (streams included) is fully on the wire."""
+        response (streams included) is fully on the wire.  Anonymous
+        clients are keyed by their connection."""
+        client_id = request.client_id or connection
         route = self._route_name(request)
         span = obs.get_tracer().start_trace(
             SPAN_FLEET_REQUEST,
@@ -331,13 +260,12 @@ class FleetRouter:
             route=route,
         )
         with span:
-            guarded = request.path not in ("/healthz", "/metrics") and route not in (
-                "traces",
-                "trace",
-            )
+            guarded = needs_admission(request)
             response: Optional[HttpResponse] = None
             held = False
-            if guarded:
+            if guarded and self._draining:
+                response = error_response(errors.draining(self._retry_after()))
+            elif guarded:
                 wait = self.clients.admit(client_id)
                 if wait is not None:
                     self.metrics.throttled_total.inc()
@@ -379,12 +307,7 @@ class FleetRouter:
                     for name in response.headers
                 ):
                     response.headers[obs.TRACE_ID_HEADER] = span.trace_id
-                await write_response(
-                    writer,
-                    response,
-                    keep_alive=keep_alive,
-                    head_only=request.method == "HEAD",
-                )
+                await send(response)
             finally:
                 if held:
                     self.queue.release()
@@ -421,8 +344,8 @@ class FleetRouter:
         if path == "/v1/batch" and method == "POST":
             return await self._batch(request, client_id)
         if path == "/v1/traces" and method == "GET":
-            return self._traces_summary()
-        trace_id = self._trace_id_of(path)
+            return traces_summary()
+        trace_id = trace_id_of(path)
         if trace_id is not None:
             if method != "GET":
                 raise errors.method_not_allowed(request.method, path)
@@ -430,18 +353,6 @@ class FleetRouter:
         if path in {p for (_m, p) in _ROUTES} or path == "/v1/traces":
             raise errors.method_not_allowed(request.method, path)
         raise errors.not_found(f"no route for {path}")
-
-    def _traces_summary(self) -> HttpResponse:
-        """The router's own buffered traces (summaries; no worker fan-out)."""
-        tracer = obs.get_tracer()
-        return HttpResponse.json(
-            {
-                "enabled": tracer.enabled,
-                "sample_rate": tracer.sample_rate,
-                "buffered_spans": len(tracer.ring),
-                "traces": tracer.ring.traces(),
-            }
-        )
 
     async def _trace(self, trace_id: str, client_id: str) -> HttpResponse:
         """One merged trace: the router's spans plus every member worker's.
@@ -496,8 +407,12 @@ class FleetRouter:
 
     def _healthz(self) -> HttpResponse:
         members = self.membership.members()
+        if self._draining:
+            status = "draining"
+        else:
+            status = "ok" if members else "no_workers"
         document = {
-            "status": "ok" if members else "no_workers",
+            "status": status,
             "workers": self.membership.info(),
             "ring": self.ring.info(),
             "queue_depth": self.queue.depth,
@@ -506,9 +421,8 @@ class FleetRouter:
             },
             "retry_tokens": round(self.retry_budget.tokens, 3),
         }
-        status = 200 if members else 503
-        response = HttpResponse.json(document, status=status)
-        if not members:
+        response = HttpResponse.json(document, status=200 if status == "ok" else 503)
+        if status != "ok":
             response.headers["Retry-After"] = str(self._retry_after())
         return response
 
@@ -539,37 +453,12 @@ class FleetRouter:
         """The placement key of a relation reference (name → fingerprint)."""
         return self._names.get(ref, ref)
 
-    async def _fingerprint_upload(self, request: HttpRequest) -> Tuple[str, Optional[str]]:
-        """Parse an upload body exactly as the worker will, returning
-        ``(fingerprint, name)`` — the placement key and the alias to track."""
-        loop = asyncio.get_running_loop()
-        name = request.query.get("name")
-        if request.content_type in ("application/json", "application/x-ndjson"):
-            document = request.json()
-            if not isinstance(document, dict):
-                raise errors.bad_request("upload body must be a JSON object")
-            if document.get("name") is not None:
-                name = str(document["name"])
-            relation = await loop.run_in_executor(
-                None, relation_from_rows_document, document
-            )
-        else:
-            text = request.text()
-            has_header = request.query.get("header", "true").lower() != "false"
-            delimiter = request.query.get("delimiter", ",")
-            relation = await loop.run_in_executor(
-                None,
-                lambda: relation_from_csv_text(
-                    text, has_header=has_header, delimiter=delimiter
-                ),
-            )
-        return relation.fingerprint(), name
-
     # ------------------------------------------------------------------ #
     # handlers
     # ------------------------------------------------------------------ #
     async def _upload(self, request: HttpRequest, client_id: str) -> HttpResponse:
-        fingerprint, name = await self._fingerprint_upload(request)
+        relation, name = await parse_upload(request)
+        fingerprint = relation.fingerprint()
         content_type = request.headers.get("content-type", "text/csv")
         self.uploads.put(fingerprint, request.target, content_type, request.body)
         if name:
@@ -654,47 +543,22 @@ class FleetRouter:
         )
 
     async def _batch(self, request: HttpRequest, client_id: str) -> HttpResponse:
-        document = request.json()
-        entries = document.get("requests") if isinstance(document, dict) else document
-        if not isinstance(entries, list) or not entries:
-            raise errors.bad_request(
-                'batch body must be a non-empty JSON array (or {"requests": [...]})'
-            )
-        if len(entries) > MAX_BATCH_REQUESTS:
-            raise errors.bad_request(f"batch exceeds {MAX_BATCH_REQUESTS} requests")
         headers = {"x-client-id": client_id}
 
-        async def run_one(entry: object) -> Dict[str, object]:
-            try:
-                if not isinstance(entry, dict):
-                    raise errors.bad_request("batch entry is not a JSON object")
-                body_document = {k: v for k, v in entry.items() if k != "stream"}
-                key, body = await self._place_discover(
-                    body_document, json.dumps(body_document).encode("utf-8")
-                )
-                response = await self._forward(
-                    key, "POST", "/v1/discover", body=body, headers=dict(headers)
-                )
-                result = response.json()
-                if isinstance(result, dict):
-                    return result
-                raise errors.bad_gateway("worker answered a non-JSON batch entry")
-            except asyncio.CancelledError:
-                raise
-            except ApiError as exc:
-                return exc.to_document()
-            except asyncio.TimeoutError:
-                return errors.deadline_exceeded(
-                    self.config.request_timeout or 0.0
-                ).to_document()
-            except Exception as exc:  # noqa: BLE001 - isolated per entry
-                return errors.map_exception(exc).to_document()
+        async def run_one(entry: Dict[str, object]) -> Dict[str, object]:
+            body_document = {k: v for k, v in entry.items() if k != "stream"}
+            key, body = await self._place_discover(
+                body_document, json.dumps(body_document).encode("utf-8")
+            )
+            response = await self._forward(
+                key, "POST", "/v1/discover", body=body, headers=dict(headers)
+            )
+            result = response.json()
+            if isinstance(result, dict):
+                return result
+            raise errors.bad_gateway("worker answered a non-JSON batch entry")
 
-        results = await asyncio.gather(*(run_one(entry) for entry in entries))
-        failed = sum(1 for record in results if "error" in record)
-        return HttpResponse.json(
-            {"requests": len(entries), "failed": failed, "results": list(results)}
-        )
+        return await run_batch(request, run_one, self.config.request_timeout)
 
     # ------------------------------------------------------------------ #
     # forwarding
@@ -905,113 +769,16 @@ class FleetRouter:
         )
 
 
-class RouterThread:
-    """A real-socket router hosted in its own thread + event loop.
-
-    The fleet counterpart of :class:`~repro.serve.http.server.ServerThread`:
-    tests, the ``fleet_serving`` benchmark section and
-    ``examples/fleet_serving.py`` start a router next to blocking client
-    code without touching asyncio themselves.
-    """
+class RouterThread(EndpointThread):
+    """A router in a side thread: the fleet counterpart of
+    :class:`~repro.serve.http.server.ServerThread`."""
 
     def __init__(self, config: RouterConfig):
-        self._router = FleetRouter(config)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._started = threading.Event()
-        self._startup_error: Optional[BaseException] = None
+        super().__init__(FleetRouter(config), "repro-fleet")
 
-    # ------------------------------------------------------------------ #
     @property
     def router(self) -> FleetRouter:
-        return self._router
-
-    @property
-    def host(self) -> str:
-        return self._router.config.host
-
-    @property
-    def port(self) -> int:
-        return self._router.config.port
-
-    @property
-    def address(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    # ------------------------------------------------------------------ #
-    def start(self) -> "RouterThread":
-        """Boot the loop thread; returns once the socket is bound."""
-        if self._thread is not None:
-            raise ApiError(500, "internal", "RouterThread is already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-fleet-loop", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise ApiError(500, "internal", "router failed to start within 30s")
-        if self._startup_error is not None:
-            raise ApiError(
-                500, "internal", f"router failed to start: {self._startup_error}"
-            )
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            try:
-                loop.run_until_complete(self._router.start())
-            except BaseException as exc:  # noqa: BLE001 - surfaced to start()
-                self._startup_error = exc
-                return
-            finally:
-                self._started.set()
-            watchdog = maybe_watch_loop(loop, "repro-fleet")
-            try:
-                loop.run_until_complete(self._router.wait_stopped())
-            finally:
-                if watchdog is not None:
-                    watchdog.stop()
-        finally:
-            try:
-                pending = [t for t in asyncio.all_tasks(loop) if not t.done()]
-                for task in pending:
-                    task.cancel()
-                if pending:
-                    loop.run_until_complete(
-                        asyncio.gather(*pending, return_exceptions=True)
-                    )
-                loop.run_until_complete(loop.shutdown_asyncgens())
-            finally:
-                asyncio.set_event_loop(None)
-                loop.close()
-
-    def run_coroutine(self, coroutine):
-        """Run a coroutine on the router's loop (tests poke membership)."""
-        if self._loop is None:
-            raise ApiError(500, "internal", "RouterThread is not running")
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-
-    def stop(self, timeout: float = 60.0) -> None:
-        """Stop the router and join the loop thread.  Idempotent."""
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self._router.stop(), self._loop
-                )
-                future.result(timeout=timeout)
-            except Exception:  # noqa: BLE001 - stop is best-effort
-                pass
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "RouterThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        return self._endpoint
 
 
 __all__ = [

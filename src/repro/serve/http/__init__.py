@@ -12,14 +12,20 @@ puts a network front end on it without adding a single dependency
   (``POST /v1/relations``, ``GET /v1/relations``, ``POST /v1/discover``,
   ``POST /v1/batch``, ``GET /healthz``, ``GET /metrics``) and the JSON ↔
   API-object translation, including ``application/x-ndjson`` rule streaming;
-* :class:`~repro.serve.http.server.HttpServer` — admission control
-  (in-flight semaphore + bounded queue → fast ``503`` with ``Retry-After``),
-  per-request deadlines, and graceful drain (finish in flight, spill the
-  pool to the store, exit) wired to ``SIGTERM`` by the ``repro-serve`` CLI;
+* :class:`~repro.serve.http.server.HttpEndpoint` — the listener, the
+  keep-alive connection loop and the graceful drain, shared with the fleet
+  router, which subclasses it too;
+* :class:`~repro.serve.http.server.HttpServer` — the worker endpoint:
+  admission control (in-flight semaphore + bounded queue → fast ``503``
+  with ``Retry-After``), per-request deadlines, and graceful drain (finish
+  in flight, spill the pool to the store, exit) wired to ``SIGTERM`` by the
+  ``repro-serve`` CLI, whose flags, fault plan and signal runner the
+  ``repro-fleet`` CLI reuses;
 * :class:`~repro.serve.http.metrics.HttpMetrics` — Prometheus text
   exposition of the HTTP layer and the substrate's counters;
 * :class:`~repro.serve.http.server.ServerThread` — a real-socket server in
-  a side thread for tests, benchmarks and examples.
+  a side thread (the one :class:`~repro.serve.http.server.EndpointThread`
+  host) for tests, benchmarks and examples.
 
 See DESIGN.md (“The HTTP serving layer”) for the async↔thread bridge, the
 admission-control model and the error taxonomy.

@@ -34,6 +34,9 @@ Handlers are transport-thin: they translate JSON ↔ the existing API objects
 (:class:`DiscoveryRequest`, :class:`~repro.relational.relation.Relation`)
 and delegate every run to the :class:`AsyncDiscoveryService` bridge.  CPU
 work (CSV parsing, relation encoding) runs on the executor, never the loop.
+The module functions (:func:`parse_upload`, :func:`run_batch`,
+:func:`needs_admission`, :func:`trace_id_of`, :func:`traces_summary`) are
+what the fleet router calls too, so both sides parse the same way.
 """
 
 from __future__ import annotations
@@ -139,6 +142,114 @@ def relation_from_csv_text(
     return relation
 
 
+async def parse_upload(request: HttpRequest) -> Tuple[Relation, Optional[str]]:
+    """The relation of an upload body and the name it was given, if any.
+
+    The worker registers what this returns, and the fleet router places the
+    upload on its ring by the same relation's fingerprint — one parser, so
+    the two always agree on where a relation lives.  The parse runs on the
+    executor, never the loop.
+    """
+    loop = asyncio.get_running_loop()
+    name = request.query.get("name")
+    if request.content_type in ("application/json", "application/x-ndjson"):
+        document = request.json()
+        if not isinstance(document, dict):
+            raise errors.bad_request("upload body must be a JSON object")
+        if document.get("name") is not None:
+            name = str(document["name"])
+        relation = await loop.run_in_executor(
+            None, relation_from_rows_document, document
+        )
+        return relation, name
+    # Default to CSV for text/csv, text/plain and unlabelled bodies.
+    text = request.text()
+    has_header = request.query.get("header", "true").lower() != "false"
+    delimiter = request.query.get("delimiter", ",")
+    try:
+        relation = await loop.run_in_executor(
+            None,
+            lambda: relation_from_csv_text(
+                text, has_header=has_header, delimiter=delimiter
+            ),
+        )
+    except ReproError as exc:
+        raise errors.bad_request(f"cannot parse CSV body: {exc}") from exc
+    return relation, name
+
+
+async def run_batch(
+    request: HttpRequest,
+    run_one: Callable[[Dict[str, object]], Awaitable[Dict[str, object]]],
+    timeout: Optional[float],
+) -> HttpResponse:
+    """The ``/v1/batch`` envelope around ``run_one``, the per-entry runner.
+
+    Entries run concurrently; a failing entry (``timeout`` is the deadline
+    it reports) comes back in place as its ``{"error": ...}`` document and
+    never fails its neighbours.
+    """
+    document = request.json()
+    entries = document.get("requests") if isinstance(document, dict) else document
+    if not isinstance(entries, list) or not entries:
+        raise errors.bad_request(
+            'batch body must be a non-empty JSON array (or {"requests": [...]})'
+        )
+    if len(entries) > MAX_BATCH_REQUESTS:
+        raise errors.bad_request(f"batch exceeds {MAX_BATCH_REQUESTS} requests")
+
+    async def isolated(entry: object) -> Dict[str, object]:
+        try:
+            if not isinstance(entry, dict):
+                raise errors.bad_request("batch entry is not a JSON object")
+            return await run_one(entry)
+        except asyncio.CancelledError:
+            raise
+        except asyncio.TimeoutError:
+            return errors.deadline_exceeded(timeout or 0.0).to_document()
+        except Exception as exc:  # noqa: BLE001 - isolated per entry
+            return errors.map_exception(exc).to_document()
+
+    results = await asyncio.gather(*(isolated(entry) for entry in entries))
+    failed = sum(1 for record in results if "error" in record)
+    return HttpResponse.json(
+        {"requests": len(entries), "failed": failed, "results": list(results)}
+    )
+
+
+def needs_admission(request: HttpRequest) -> bool:
+    """Whether admission control (or the router's rate limit) guards a request.
+
+    The operational endpoints (``/healthz``, ``/metrics``, the trace views)
+    always answer — a saturated or draining endpoint must stay observable.
+    """
+    if request.path in ("/healthz", "/metrics"):
+        return False
+    return not request.path.startswith("/v1/traces")
+
+
+def trace_id_of(path: str) -> Optional[str]:
+    """The trace id of a ``/v1/traces/{trace_id}`` path (else ``None``)."""
+    prefix = "/v1/traces/"
+    if not path.startswith(prefix):
+        return None
+    trace_id = path[len(prefix):]
+    return trace_id if trace_id and "/" not in trace_id else None
+
+
+def traces_summary() -> HttpResponse:
+    """Summaries of every trace buffered in this process's span ring."""
+    tracer = obs.get_tracer()
+    return HttpResponse.json(
+        {
+            "enabled": tracer.enabled,
+            "sample_rate": tracer.sample_rate,
+            "buffered_spans": len(tracer.ring),
+            "traces": tracer.ring.traces(),
+        }
+    )
+
+
 class Application:
     """The route table and handlers over one service bridge."""
 
@@ -177,7 +288,7 @@ class Application:
         """
         methods = self._routes.get(request.path)
         if methods is None:
-            if self._trace_id_of(request) is not None:
+            if trace_id_of(request.path) is not None:
                 return "trace"
             return "unrouted"
         entry = methods.get(request.method)
@@ -185,31 +296,11 @@ class Application:
             entry = methods.get("GET")
         return entry[0] if entry else "unrouted"
 
-    def needs_admission(self, request: HttpRequest) -> bool:
-        """Whether the admission controller guards this request.
-
-        The operational endpoints (``/healthz``, ``/metrics``, the trace
-        views) always answer — a saturated or draining server must stay
-        observable.
-        """
-        if request.path in ("/healthz", "/metrics"):
-            return False
-        return not request.path.startswith("/v1/traces")
-
-    @staticmethod
-    def _trace_id_of(request: HttpRequest) -> Optional[str]:
-        """The trace id of a ``/v1/traces/{trace_id}`` path (else ``None``)."""
-        prefix = "/v1/traces/"
-        if not request.path.startswith(prefix):
-            return None
-        trace_id = request.path[len(prefix):]
-        return trace_id if trace_id and "/" not in trace_id else None
-
     async def dispatch(self, request: HttpRequest) -> HttpResponse:
         """Route one request; every failure becomes a structured error body."""
         methods = self._routes.get(request.path)
         if methods is None:
-            trace_id = self._trace_id_of(request)
+            trace_id = trace_id_of(request.path)
             if trace_id is not None:
                 if request.method not in ("GET", "HEAD"):
                     raise errors.method_not_allowed(request.method, request.path)
@@ -234,31 +325,7 @@ class Application:
     # handlers
     # ------------------------------------------------------------------ #
     async def upload_relation(self, request: HttpRequest) -> HttpResponse:
-        loop = asyncio.get_running_loop()
-        name = request.query.get("name")
-        if request.content_type in ("application/json", "application/x-ndjson"):
-            document = request.json()
-            if not isinstance(document, dict):
-                raise errors.bad_request("upload body must be a JSON object")
-            if document.get("name") is not None:
-                name = str(document["name"])
-            relation = await loop.run_in_executor(
-                None, relation_from_rows_document, document
-            )
-        else:
-            # Default to CSV for text/csv, text/plain and unlabelled bodies.
-            text = request.text()
-            has_header = request.query.get("header", "true").lower() != "false"
-            delimiter = request.query.get("delimiter", ",")
-            try:
-                relation = await loop.run_in_executor(
-                    None,
-                    lambda: relation_from_csv_text(
-                        text, has_header=has_header, delimiter=delimiter
-                    ),
-                )
-            except ReproError as exc:
-                raise errors.bad_request(f"cannot parse CSV body: {exc}") from exc
+        relation, name = await parse_upload(request)
         # Registered under its fingerprint always (the canonical reference),
         # and under the caller's name when one was given.
         fingerprint = await self._bridge.register(relation.fingerprint(), relation)
@@ -315,40 +382,15 @@ class Application:
         return HttpResponse.json(result.to_json_dict())
 
     async def batch(self, request: HttpRequest) -> HttpResponse:
-        document = request.json()
-        entries = document.get("requests") if isinstance(document, dict) else document
-        if not isinstance(entries, list) or not entries:
-            raise errors.bad_request(
-                'batch body must be a non-empty JSON array (or {"requests": [...]})'
+        async def run_one(entry: Dict[str, object]) -> Dict[str, object]:
+            ref = await self._resolve_ref(entry)
+            discovery_request = request_from_document(entry)
+            result = await self._bridge.run(
+                ref, discovery_request, timeout=self._request_timeout
             )
-        if len(entries) > MAX_BATCH_REQUESTS:
-            raise errors.bad_request(
-                f"batch exceeds {MAX_BATCH_REQUESTS} requests"
-            )
+            return result.to_json_dict()
 
-        async def run_one(entry: object) -> Dict[str, object]:
-            try:
-                if not isinstance(entry, dict):
-                    raise errors.bad_request("batch entry is not a JSON object")
-                ref = await self._resolve_ref(entry)
-                discovery_request = request_from_document(entry)
-                result = await self._bridge.run(
-                    ref, discovery_request, timeout=self._request_timeout
-                )
-                return result.to_json_dict()
-            except asyncio.CancelledError:
-                raise
-            except asyncio.TimeoutError:
-                error = errors.deadline_exceeded(self._request_timeout or 0.0)
-                return error.to_document()
-            except Exception as exc:  # noqa: BLE001 - isolated per entry
-                return errors.map_exception(exc).to_document()
-
-        results = await asyncio.gather(*(run_one(entry) for entry in entries))
-        failed = sum(1 for record in results if "error" in record)
-        return HttpResponse.json(
-            {"requests": len(entries), "failed": failed, "results": list(results)}
-        )
+        return await run_batch(request, run_one, self._request_timeout)
 
     async def healthz(self, request: HttpRequest) -> HttpResponse:
         stats = self._bridge.service.info()
@@ -386,15 +428,7 @@ class Application:
 
     async def traces(self, request: HttpRequest) -> HttpResponse:
         """Summaries of every trace currently buffered in the span ring."""
-        tracer = obs.get_tracer()
-        return HttpResponse.json(
-            {
-                "enabled": tracer.enabled,
-                "sample_rate": tracer.sample_rate,
-                "buffered_spans": len(tracer.ring),
-                "traces": tracer.ring.traces(),
-            }
-        )
+        return traces_summary()
 
     async def trace(self, trace_id: str) -> HttpResponse:
         """One trace: the flat span records plus their nested tree."""
@@ -413,7 +447,12 @@ class Application:
 __all__ = [
     "Application",
     "MAX_BATCH_REQUESTS",
+    "needs_admission",
+    "parse_upload",
     "relation_from_csv_text",
     "relation_from_rows_document",
     "request_from_document",
+    "run_batch",
+    "trace_id_of",
+    "traces_summary",
 ]

@@ -2,9 +2,8 @@
 
 The metric primitives (:class:`Counter`, :class:`Gauge`, :class:`Histogram`)
 and the exposition helpers live in :mod:`repro.obs.promfmt` — the one shared
-format path — and are re-exported here for compatibility.
-:class:`HttpMetrics` bundles the request-level instruments the server
-updates on every response and renders them together with the serving
+format path.  :class:`HttpMetrics` bundles the request-level instruments the
+server updates on every response and renders them together with the serving
 substrate's own counters (:meth:`~repro.serve.DiscoveryService.stats`), so
 ``GET /metrics`` is one consistent snapshot of both layers:
 
@@ -28,16 +27,10 @@ from repro.obs.promfmt import (
     Counter,
     Gauge,
     Histogram,
-    escape_label_value,
     format_value,
     render_family,
     render_labels,
 )
-
-#: Compatibility aliases — the canonical spellings live in ``promfmt``.
-_escape = escape_label_value
-_format_value = format_value
-_render_labels = render_labels
 
 
 class HttpMetrics:
@@ -241,13 +234,4 @@ class HttpMetrics:
         return lines
 
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "HttpMetrics",
-    "escape_label_value",
-    "format_value",
-    "render_family",
-    "render_labels",
-]
+__all__ = ["HttpMetrics"]

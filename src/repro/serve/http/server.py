@@ -1,8 +1,13 @@
-"""The asyncio HTTP server: accept loop, admission control, graceful drain.
+"""The asyncio HTTP endpoint: listener, keep-alive loop, drain, thread host.
 
-:class:`HttpServer` wires ``asyncio.start_server`` to the
-:class:`~repro.serve.http.app.Application` with three serving-discipline
-layers the handlers never see:
+:class:`HttpEndpoint` is the socket half that the worker and the fleet
+router share: the ``asyncio.start_server`` listener, the keep-alive
+connection loop (protocol errors answered on the raw socket), the count of
+active requests and the graceful drain.  :class:`HttpServer` (the worker)
+and :class:`~repro.serve.fleet.router.FleetRouter` subclass it and say only
+how one request is answered.  The worker puts three serving-discipline
+layers, which the handlers never see, in front of the
+:class:`~repro.serve.http.app.Application`:
 
 **Admission control.**  At most ``max_in_flight`` requests execute
 concurrently (an :class:`asyncio.Semaphore`); up to ``max_queue`` more may
@@ -16,25 +21,27 @@ admission so the server stays observable while saturated or draining.
 run is *not* cancelled — it may be shared with coalesced waiters, and its
 completion warms the pooled session, so the timed-out work is not wasted.
 
-**Graceful drain.**  :meth:`drain` (wired to ``SIGTERM``/``SIGINT`` by the
-CLI) stops accepting connections, answers ``503 draining`` on
-non-operational routes, waits for in-flight requests to finish (bounded by
-``drain_timeout``), then shuts the service down — which spills the session
-pool into the persistent store when one is attached, so the next process
-warm-starts.
+**Graceful drain.**  :meth:`HttpEndpoint.drain` (wired to
+``SIGTERM``/``SIGINT`` by both CLIs) answers ``503 draining`` on guarded
+routes, waits for in-flight requests to finish (the worker bounds the wait
+by ``drain_timeout``, the router by its forward deadline), closes the
+listener, then shuts down what the endpoint owns — for the worker, the
+service, which spills the session pool into the persistent store when one
+is attached, so the next process warm-starts.
 
-:class:`ServerThread` hosts a server inside a dedicated thread + event loop
-for tests, benchmarks and examples that need a real socket next to ordinary
-blocking client code.
+:class:`EndpointThread` hosts an endpoint inside a dedicated thread + event
+loop for tests, benchmarks and examples that need a real socket next to
+ordinary blocking client code; :class:`ServerThread` is the worker's.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Awaitable, Callable, Optional
 
 from repro import obs
 from repro.devtools.lockcheck import maybe_watch_loop
@@ -45,11 +52,12 @@ from repro.obs.names import (
     SPAN_HTTP_REQUEST,
 )
 from repro.serve.http import errors
-from repro.serve.http.app import Application
+from repro.serve.http.app import Application, needs_admission
 from repro.serve.http.bridge import AsyncDiscoveryService
 from repro.serve.http.metrics import HttpMetrics
 from repro.serve.http.protocol import (
     DEFAULT_MAX_BODY_BYTES,
+    HttpRequest,
     HttpResponse,
     ProtocolError,
     error_response,
@@ -64,6 +72,9 @@ from repro.serve.service import DiscoveryService
 _KNOWN_METHODS = frozenset(
     {"GET", "HEAD", "POST", "PUT", "PATCH", "DELETE", "OPTIONS"}
 )
+
+#: Writes one response for the request being answered.
+Send = Callable[[HttpResponse], Awaitable[None]]
 
 
 @dataclass
@@ -86,39 +97,50 @@ class ServerConfig:
     drain_timeout: float = 30.0
 
 
-class HttpServer:
-    """One serving endpoint over one :class:`DiscoveryService`."""
+class HttpEndpoint:
+    """One listening socket: keep-alive loop, active count, graceful drain.
 
-    def __init__(self, service: DiscoveryService, config: Optional[ServerConfig] = None):
-        self.config = config or ServerConfig()
-        self.service = service
-        self.bridge = AsyncDiscoveryService(service)
-        self.metrics = HttpMetrics()
-        self.app = Application(
-            self.bridge,
-            self.metrics,
-            request_timeout=self.config.request_timeout,
-            is_draining=lambda: self._draining,
-        )
+    Subclasses answer one request at a time in :meth:`_answer`, and set up
+    and tear down what they own in :meth:`_open` (before the bind) and
+    :meth:`_close` (after the drain).  ``config`` needs ``host``, ``port``,
+    ``max_body_bytes`` and ``keep_alive_timeout``; ``drain_timeout`` bounds
+    the drain's wait for in-flight requests (``None``: no bound).
+    """
+
+    def __init__(self, config, drain_timeout: Optional[float]) -> None:
+        self.config = config
+        self._drain_timeout = drain_timeout
         self._server: Optional[asyncio.base_events.Server] = None
         # Loop-affine primitives are created in start() so they bind the
         # serving loop, not whatever loop (if any) constructed the object —
         # Python 3.9 binds them at construction time.
-        self._semaphore: Optional[asyncio.Semaphore] = None
         self._drained: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._waiting = 0
         self._active = 0
         self._draining = False
+        self._connections = itertools.count(1)
+
+    # ------------------------------------------------------------------ #
+    # what subclasses supply
+    # ------------------------------------------------------------------ #
+    async def _open(self) -> None:
+        """Set up loop-bound state before the listener binds."""
+
+    async def _close(self) -> None:
+        """Release what the endpoint owns once the drain has finished."""
+
+    async def _answer(self, request: HttpRequest, connection: str, send: Send) -> None:
+        """Answer one request; ``connection`` names the connection it came on."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
         """Bind the listening socket (``port=0`` picks an ephemeral port)."""
-        self._semaphore = asyncio.Semaphore(self.config.max_in_flight)
         self._drained = asyncio.Event()
         self._stopped = asyncio.Event()
+        await self._open()
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -138,55 +160,32 @@ class HttpServer:
     async def wait_stopped(self) -> None:
         """Block until :meth:`stop` has completed."""
         if self._stopped is None:
-            raise DiscoveryError("HttpServer.wait_stopped() before start()")
+            raise DiscoveryError(f"{type(self).__name__}.wait_stopped() before start()")
         await self._stopped.wait()
 
     async def drain(self) -> None:
-        """Finish in-flight work, then shut the listener and service down.
+        """Finish in-flight work, then shut the listener and the endpoint down.
 
         Idempotent.  The listener stays open *while* draining — load-balancer
         probes must be able to reach ``/healthz`` and read the 503
         ``draining`` answer — but guarded routes are refused immediately and
-        keep-alive is switched off, so connections bleed away.  The service
-        shutdown (a blocking call: it drains the executor and spills the
-        pool into the store) runs on the default executor so the loop is
-        never blocked.
+        keep-alive is switched off, so connections bleed away.
         """
         if self._stopped is None:
-            raise DiscoveryError("HttpServer.drain() before start()")
+            raise DiscoveryError(f"{type(self).__name__}.drain() before start()")
         if self._draining:
             await self._stopped.wait()
             return
         self._draining = True
         self._signal_drained()
         try:
-            await asyncio.wait_for(
-                self._drained.wait(), timeout=self.config.drain_timeout
-            )
+            await asyncio.wait_for(self._drained.wait(), timeout=self._drain_timeout)
         except asyncio.TimeoutError:
             pass  # stragglers are past their deadline; shut down anyway
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        loop = asyncio.get_running_loop()
-        try:
-            # The executor drain is bounded too: an abandoned (504'd) engine
-            # run can linger far past any grace period an orchestrator gives
-            # us, and being SIGKILLed mid-shutdown would lose the spill.
-            await asyncio.wait_for(
-                loop.run_in_executor(None, self.service.shutdown),
-                timeout=self.config.drain_timeout,
-            )
-        except asyncio.TimeoutError:
-            self.service.shutdown(wait=False)  # refuse new work, don't block
-            store = self.service.pool.store
-            if store is not None:
-                try:
-                    # Spill what the pool holds now; the lingering run's
-                    # session misses out, everything else stays warm.
-                    await loop.run_in_executor(None, self.service.pool.persist)
-                except Exception:  # noqa: BLE001 - spill is best-effort
-                    pass
+        await self._close()
         self._stopped.set()
 
     async def stop(self) -> None:
@@ -199,6 +198,7 @@ class HttpServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        connection = f"conn-{next(self._connections)}"
         try:
             while True:
                 try:
@@ -221,17 +221,18 @@ class HttpServer:
                 if request is None:
                     break  # clean EOF between requests
                 keep_alive = request.keep_alive and not self._draining
+                head_only = request.method == "HEAD"
+
+                async def send(response: HttpResponse) -> None:
+                    await write_response(
+                        writer, response, keep_alive=keep_alive, head_only=head_only
+                    )
+
                 # A request counts as active until its response is fully
                 # written — drain must never truncate a chunked stream.
                 self._active += 1
                 try:
-                    response = await self._respond(request)
-                    await write_response(
-                        writer,
-                        response,
-                        keep_alive=keep_alive,
-                        head_only=request.method == "HEAD",
-                    )
+                    await self._answer(request, connection, send)
                 finally:
                     self._active -= 1
                     self._signal_drained()
@@ -251,7 +252,66 @@ class HttpServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _respond(self, request) -> HttpResponse:
+    def _signal_drained(self) -> None:
+        """Wake drain() once no request is being answered.
+
+        A request counts from its read until its response is written, so a
+        worker request still queued for an execution slot — never told 503 —
+        keeps the drain waiting too.
+        """
+        if self._draining and self._active == 0 and self._drained is not None:
+            self._drained.set()
+
+
+class HttpServer(HttpEndpoint):
+    """The worker: one serving endpoint over one :class:`DiscoveryService`."""
+
+    def __init__(self, service: DiscoveryService, config: Optional[ServerConfig] = None):
+        config = config or ServerConfig()
+        super().__init__(config, config.drain_timeout)
+        self.service = service
+        self.bridge = AsyncDiscoveryService(service)
+        self.metrics = HttpMetrics()
+        self.app = Application(
+            self.bridge,
+            self.metrics,
+            request_timeout=self.config.request_timeout,
+            is_draining=lambda: self._draining,
+        )
+        self._semaphore: Optional[asyncio.Semaphore] = None
+        self._waiting = 0
+        self._executing = 0
+
+    async def _open(self) -> None:
+        self._semaphore = asyncio.Semaphore(self.config.max_in_flight)
+
+    async def _close(self) -> None:
+        """Shut the service down: drain its executor, spill the pool.
+
+        The shutdown is a blocking call, so it runs on the default executor
+        and the loop is never blocked.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            # The executor drain is bounded too: an abandoned (504'd) engine
+            # run can linger far past any grace period an orchestrator gives
+            # us, and being SIGKILLed mid-shutdown would lose the spill.
+            await asyncio.wait_for(
+                loop.run_in_executor(None, self.service.shutdown),
+                timeout=self.config.drain_timeout,
+            )
+        except asyncio.TimeoutError:
+            self.service.shutdown(wait=False)  # refuse new work, don't block
+            store = self.service.pool.store
+            if store is not None:
+                try:
+                    # Spill what the pool holds now; the lingering run's
+                    # session misses out, everything else stays warm.
+                    await loop.run_in_executor(None, self.service.pool.persist)
+                except Exception:  # noqa: BLE001 - spill is best-effort
+                    pass
+
+    async def _answer(self, request: HttpRequest, connection: str, send: Send) -> None:
         """Admission control + deadline + dispatch, all failures mapped.
 
         The whole exchange runs under the request's root span: a new trace,
@@ -280,13 +340,13 @@ class HttpServer:
                 span.set_status("error", error="deadline")
             if span.trace_id is not None:
                 response.headers.setdefault(obs.TRACE_ID_HEADER, span.trace_id)
-        return response
+        await send(response)
 
     async def _respond_admitted(
-        self, request, method: str, route: str
+        self, request: HttpRequest, method: str, route: str
     ) -> HttpResponse:
         started = time.perf_counter()
-        guarded = self.app.needs_admission(request)
+        guarded = needs_admission(request)
         response: HttpResponse
         if guarded and self._draining:
             self.metrics.admission_rejections_total.inc(reason="draining")
@@ -315,7 +375,7 @@ class HttpServer:
                     await self._semaphore.acquire()
             finally:
                 self._waiting -= 1
-                self._signal_drained()
+            self._executing += 1
         try:
             self.metrics.in_flight.inc()
             try:
@@ -329,6 +389,7 @@ class HttpServer:
         finally:
             self.metrics.in_flight.dec()
             if guarded:
+                self._executing -= 1
                 self._semaphore.release()
         self.metrics.observe(
             method, route, response.status, time.perf_counter() - started
@@ -339,53 +400,29 @@ class HttpServer:
         """An honest ``Retry-After`` for this server's 503s.
 
         Derived from the service's observed mean run latency and the work
-        currently occupying or queued for the execution slots — what the
-        backlog actually costs, not a constant.
+        ahead of the caller — each executing and each queued request once —
+        what the backlog actually costs, not a constant.
         """
         return errors.retry_after_hint(
             self.service.mean_latency_seconds(),
-            self._active + self._waiting,
+            self._executing + self._waiting,
             self.config.max_in_flight,
             default=default,
         )
 
-    def _signal_drained(self) -> None:
-        """Wake drain() once nothing is executing *or* queued for a slot.
 
-        A request already admitted into the wait queue was never told 503,
-        so drain must let it run — the drained condition requires both
-        counters at zero.
-        """
-        if (
-            self._draining
-            and self._active == 0
-            and self._waiting == 0
-            and self._drained is not None
-        ):
-            self._drained.set()
+class EndpointThread:
+    """A real-socket endpoint hosted in its own thread + event loop.
 
-
-class ServerThread:
-    """A real-socket server hosted in its own thread + event loop.
-
-    The worker pattern of the integration tests, the ``http_serving``
-    benchmark section and ``examples/http_serving.py``: start, talk to
-    ``http://host:port`` with any blocking client, stop (gracefully by
-    default).
-
-    >>> from repro.serve import DiscoveryService
-    >>> with ServerThread(DiscoveryService(max_workers=2)) as server:
-    ...     address = f"http://{server.host}:{server.port}"  # doctest: +SKIP
+    The harness of the integration tests, the serving benchmark sections and
+    the examples: start, talk to ``http://host:port`` with any blocking
+    client, stop (gracefully: the endpoint drains).  ``name`` labels the
+    loop thread and its watchdog.
     """
 
-    def __init__(
-        self,
-        service: DiscoveryService,
-        config: Optional[ServerConfig] = None,
-    ):
-        self._service = service
-        config = config or ServerConfig(port=0)
-        self._server = HttpServer(service, config)
+    def __init__(self, endpoint: HttpEndpoint, name: str):
+        self._endpoint = endpoint
+        self._name = name
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = threading.Event()
@@ -395,34 +432,30 @@ class ServerThread:
     # ------------------------------------------------------------------ #
     @property
     def host(self) -> str:
-        return self._server.config.host
+        return self._endpoint.config.host
 
     @property
     def port(self) -> int:
-        return self._server.config.port
-
-    @property
-    def server(self) -> HttpServer:
-        return self._server
+        return self._endpoint.config.port
 
     @property
     def address(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------ #
-    def start(self) -> "ServerThread":
+    def start(self) -> "EndpointThread":
         """Boot the loop thread; returns once the socket is bound."""
         if self._thread is not None:
-            raise DiscoveryError("ServerThread is already started")
+            raise DiscoveryError(f"{self._name} is already started")
         self._thread = threading.Thread(
-            target=self._run, name="repro-serve-loop", daemon=True
+            target=self._run, name=f"{self._name}-loop", daemon=True
         )
         self._thread.start()
         if not self._started.wait(timeout=30):
-            raise DiscoveryError("HTTP server failed to start within 30s")
+            raise DiscoveryError(f"{self._name} failed to start within 30s")
         if self._startup_error is not None:
             raise DiscoveryError(
-                f"HTTP server failed to start: {self._startup_error}"
+                f"{self._name} failed to start: {self._startup_error}"
             )
         return self
 
@@ -432,15 +465,15 @@ class ServerThread:
         self._loop = loop
         try:
             try:
-                loop.run_until_complete(self._server.start())
+                loop.run_until_complete(self._endpoint.start())
             except BaseException as exc:  # noqa: BLE001 - surfaced to start()
                 self._startup_error = exc
                 return
             finally:
                 self._started.set()
-            watchdog = maybe_watch_loop(loop, "repro-serve")
+            watchdog = maybe_watch_loop(loop, self._name)
             try:
-                loop.run_until_complete(self._server.wait_stopped())
+                loop.run_until_complete(self._endpoint.wait_stopped())
             finally:
                 if watchdog is not None:
                     watchdog.stop()
@@ -462,32 +495,61 @@ class ServerThread:
 
     def begin_drain(self) -> None:
         """Kick off a graceful drain without waiting for it (tests use this
-        to observe the draining state from outside)."""
-        if self._loop is None:
-            return
-        self._drain_future = asyncio.run_coroutine_threadsafe(
-            self._server.drain(), self._loop
-        )
+        to observe the draining state from outside).  Idempotent."""
+        if self._loop is not None and self._drain_future is None:
+            self._drain_future = asyncio.run_coroutine_threadsafe(
+                self._endpoint.drain(), self._loop
+            )
 
     def stop(self, timeout: float = 60.0) -> None:
-        """Drain gracefully and join the loop thread.  Idempotent."""
+        """Drain gracefully and join the loop thread.  Idempotent.
+
+        A drain already begun is waited for, not scheduled again: once it
+        completes the loop closes, and a second one would never run.
+        """
         if self._thread is None or self._loop is None:
             return
         if self._thread.is_alive():
             try:
-                future = asyncio.run_coroutine_threadsafe(
-                    self._server.drain(), self._loop
-                )
-                future.result(timeout=timeout)
+                self.begin_drain()
+                self._drain_future.result(timeout=timeout)
             except Exception:  # noqa: BLE001 - drain is best-effort on stop
                 pass
         self._thread.join(timeout=timeout)
 
-    def __enter__(self) -> "ServerThread":
+    def __enter__(self) -> "EndpointThread":
         return self.start()
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
 
-__all__ = ["HttpServer", "ServerConfig", "ServerThread"]
+class ServerThread(EndpointThread):
+    """A worker in a side thread (``config`` defaults to an ephemeral port).
+
+    >>> from repro.serve import DiscoveryService
+    >>> with ServerThread(DiscoveryService(max_workers=2)) as server:
+    ...     address = f"http://{server.host}:{server.port}"  # doctest: +SKIP
+    """
+
+    def __init__(
+        self,
+        service: DiscoveryService,
+        config: Optional[ServerConfig] = None,
+    ):
+        super().__init__(
+            HttpServer(service, config or ServerConfig(port=0)), "repro-serve"
+        )
+
+    @property
+    def server(self) -> HttpServer:
+        return self._endpoint
+
+
+__all__ = [
+    "EndpointThread",
+    "HttpEndpoint",
+    "HttpServer",
+    "ServerConfig",
+    "ServerThread",
+]

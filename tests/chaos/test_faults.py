@@ -7,8 +7,11 @@ each failure kind's surface, determinism across plan instances, and the
 CLI/env resolution order.
 """
 
+import importlib
+
 import pytest
 
+from repro import obs
 from repro.serve.faults import (
     FaultInjected,
     FaultPlan,
@@ -177,3 +180,20 @@ class TestResolution:
 
     def test_resolve_none_without_rules(self):
         assert resolve_fault_plan([], seed=5, environ={}) is None
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("repro.serve.http.cli", []),
+            ("repro.serve.fleet.cli", ["--worker", "http://127.0.0.1:1"]),
+        ],
+    )
+    def test_bad_cli_spec_is_a_usage_error(self, command, argv, capsys):
+        main = importlib.import_module(command).main
+        try:
+            with pytest.raises(SystemExit) as exited:
+                main(argv + ["--fault", "not-a-spec"])
+        finally:
+            obs.disable()  # the command configured the process tracer
+        assert exited.value.code == 2
+        assert "bad fault spec" in capsys.readouterr().err

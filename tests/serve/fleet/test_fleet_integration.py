@@ -10,15 +10,25 @@ The acceptance scenarios of the fleet subsystem, each against real
 * a greedy client is throttled (``429`` + honest ``Retry-After``) while a
   light client keeps being admitted, observable in the router's
   ``/metrics``;
-* streaming and batch requests pass through the router unchanged.
+* streaming and batch requests pass through the router unchanged;
+* the router answers protocol and routing errors the way a worker does,
+  and drains the way a worker does: in-flight forwards finish, new ones
+  are refused ``503 draining``.
 """
 
 import http.client
 import json
+import threading
 import time
 
 import pytest
 
+from repro.api.registry import (
+    AlgorithmCapabilities,
+    AlgorithmRegistry,
+    DiscoveryAlgorithm,
+)
+from repro.api.result import AlgorithmStats
 from repro.serve import CacheStore, DiscoveryService, SessionPool
 from repro.serve.fleet import RouterConfig, RouterThread
 from repro.serve.http import ServerConfig, ServerThread
@@ -301,3 +311,133 @@ class TestFairnessThroughRouter:
             assert metric_value(exposition, "repro_fleet_throttled_total") >= 1
         finally:
             fleet.stop()
+
+
+class TestRouterProtocol:
+    """The router shares the worker's connection loop and error taxonomy."""
+
+    def test_chunked_request_body_is_411(self, fleet):
+        status, _, data = request(
+            fleet.router, "POST", "/v1/discover", body=b"x",
+            headers={"Content-Type": "application/json",
+                     "Transfer-Encoding": "chunked"},
+        )
+        assert status == 411
+        assert json.loads(data)["error"]["code"] == "protocol_error"
+
+    def test_unknown_route_is_404(self, fleet):
+        status, _, document = json_request(fleet.router, "GET", "/v2/nothing")
+        assert status == 404
+        assert document["error"]["code"] == "not_found"
+
+    def test_wrong_method_is_405(self, fleet):
+        status, _, document = json_request(fleet.router, "GET", "/v1/discover")
+        assert status == 405
+        assert document["error"]["code"] == "method_not_allowed"
+
+    def test_malformed_json_body_is_400(self, fleet):
+        status, _, data = request(
+            fleet.router, "POST", "/v1/discover", body=b"{not json",
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        assert json.loads(data)["error"]["code"] == "bad_request"
+
+    def test_head_healthz_answers_without_a_body(self, fleet):
+        status, headers, data = request(fleet.router, "HEAD", "/healthz")
+        assert status == 200
+        assert data == b""
+        assert int(headers["Content-Length"]) > 0
+
+    def test_keep_alive_connection_serves_a_second_request(self, fleet):
+        connection = http.client.HTTPConnection(
+            fleet.router.host, fleet.router.port, timeout=30
+        )
+        try:
+            connection.request("GET", "/healthz")
+            first = connection.getresponse()
+            assert first.status == 200 and first.read()
+            sock = connection.sock
+            assert sock is not None  # the router kept the connection open
+            connection.request("GET", "/v1/relations")
+            second = connection.getresponse()
+            assert second.status == 200
+            assert "relations" in json.loads(second.read())
+            assert connection.sock is sock
+        finally:
+            connection.close()
+
+
+def make_gated_registry():
+    """A registry with one engine that blocks until its gate opens."""
+    registry = AlgorithmRegistry()
+
+    class Gated(DiscoveryAlgorithm):
+        name = "gated"
+        capabilities = AlgorithmCapabilities(auto_candidate=False)
+        gate = threading.Event()
+        started = threading.Event()
+
+        def run(self, relation, request, session=None):
+            type(self).started.set()
+            assert type(self).gate.wait(timeout=30), "test gate never opened"
+            return [], AlgorithmStats(algorithm=self.name)
+
+    registry.register(Gated)
+    return registry, Gated
+
+
+class TestRouterDrain:
+    def test_drain_finishes_in_flight_forwards_and_refuses_new_ones(self):
+        registry, gated = make_gated_registry()
+        worker = ServerThread(
+            DiscoveryService(pool=SessionPool(registry=registry), max_workers=2),
+            ServerConfig(port=0),
+        ).start()
+        router = RouterThread(
+            RouterConfig(
+                port=0,
+                workers=[worker.address],
+                health_interval=0.2,
+                request_timeout=30.0,
+            )
+        ).start()
+        try:
+            fingerprint = upload(router)
+            held = []
+            holder = threading.Thread(
+                target=lambda: held.append(
+                    json_request(
+                        router, "POST", "/v1/discover",
+                        {"relation": fingerprint, "support": 1,
+                         "algorithm": "gated"},
+                    )
+                )
+            )
+            holder.start()
+            assert gated.started.wait(timeout=30)
+            router.begin_drain()
+            deadline = time.monotonic() + 10
+            while True:
+                status, _, health = json_request(router, "GET", "/healthz")
+                if status == 503:
+                    break
+                assert time.monotonic() < deadline, health
+                time.sleep(0.01)
+            assert health["status"] == "draining"
+            status, _, document = json_request(
+                router, "POST", "/v1/discover",
+                {"relation": fingerprint, "support": 2, "algorithm": "gated"},
+            )
+            assert status == 503
+            assert document["error"]["code"] == "draining"
+            gated.gate.set()
+            holder.join(timeout=30)
+            assert not holder.is_alive()
+            status, _, result = held[0]
+            assert status == 200, result
+            assert result["algorithm"] == "gated"
+        finally:
+            gated.gate.set()
+            router.stop()
+            worker.stop()

@@ -349,6 +349,51 @@ class TestAdmissionControl:
                 blocker.gate.set()
                 occupier.join(timeout=30)
 
+    def test_retry_after_counts_each_request_ahead_once(self):
+        """One request executing and two queued ahead of a refused caller,
+        at 0.9 s each through one slot: ``ceil(0.9 × (3 + 1) / 1) = 4``."""
+        registry, blocker = make_blocking_registry()
+        service = DiscoveryService(
+            pool=SessionPool(registry=registry), max_workers=2
+        )
+        service.mean_latency_seconds = lambda: 0.9
+        config = ServerConfig(
+            port=0, max_in_flight=1, max_queue=2, request_timeout=30
+        )
+        body = {"relation": "q", "support": 1, "algorithm": "blocker"}
+        with ServerThread(service, config) as server:
+            request(
+                server, "POST", "/v1/relations?name=q",
+                body=CSV_BODY.encode(), headers={"Content-Type": "text/csv"},
+            )
+            ahead = [
+                threading.Thread(
+                    target=json_request,
+                    args=(server, "POST", "/v1/discover", body),
+                )
+                for _ in range(3)
+            ]
+            try:
+                ahead[0].start()
+                assert blocker.started.wait(timeout=30)
+                for thread in ahead[1:]:
+                    thread.start()
+                deadline = time.time() + 30
+                while server.server._waiting < 2:
+                    assert time.time() < deadline, "requests never queued"
+                    time.sleep(0.005)
+                status, headers, document = json_request(
+                    server, "POST", "/v1/discover", body
+                )
+                assert status == 503
+                assert document["error"]["code"] == "overloaded"
+                assert headers["Retry-After"] == "4"
+            finally:
+                blocker.gate.set()
+                for thread in ahead:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+
     def test_deadline_answers_504_without_killing_the_run(self):
         registry, blocker = make_blocking_registry()
         service = DiscoveryService(
