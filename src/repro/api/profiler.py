@@ -32,7 +32,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.api.registry import REGISTRY, AlgorithmRegistry
 from repro.api.request import DiscoveryRequest
-from repro.api.result import AlgorithmStats, DiscoveryResult
+from repro.api.result import (
+    AlgorithmStats,
+    DiscoveryResult,
+    cached_rule_text_bytes,
+)
 from repro.core.cfd import CFD
 from repro.core.fastcfd import ClosedSetDifferenceSets, PartitionDifferenceSets
 from repro.devtools.lockcheck import RANK_SESSION, ranked_lock
@@ -573,8 +577,10 @@ class Profiler:
 
         Numpy-backed stores (tid-lists, partitions) are counted exactly via
         ``nbytes``; pure-Python structures (item sets, posting lists) use
-        coarse per-item constants.  Structures still being built count as
-        zero until their future completes.  Prefix sub-sessions are
+        coarse per-item constants.  A memoised cover also counts the heap
+        size of the rule texts its answers have kept on it
+        (:func:`~repro.api.result.rule_json_text`).  Structures still being
+        built count as zero until their future completes.  Prefix sub-sessions are
         included, so the serving layer's :class:`~repro.serve.SessionPool`
         can budget a whole session tree with one call.
         """
@@ -604,7 +610,7 @@ class Profiler:
         for entry in engine_entries:
             if entry is not None:
                 cfds, _ = entry
-                total += 256 + 96 * len(cfds)
+                total += 256 + 96 * len(cfds) + cached_rule_text_bytes(cfds)
         for prefix in prefixes:
             total += prefix.estimated_bytes()
         return total

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.core.cfd import CFD
 from repro.core.pattern import is_wildcard
@@ -94,6 +95,30 @@ def rule_json_dict(cfd: CFD) -> Dict[str, object]:
         "constant": cfd.is_constant,
         "text": str(cfd),
     }
+
+
+def rule_json_text(cfd: CFD) -> str:
+    """The encoded :func:`rule_json_dict` of one rule, rendered once per CFD.
+
+    The text is kept on the CFD, which is immutable, so it never goes
+    stale.  A memoised cover is one tuple of CFDs that every request of its
+    engine configuration shares (rule filters and ``rank_by`` select from
+    the same objects), so each of its rules is encoded once, on the first
+    answer, and every later answer joins the kept texts.  ``json.dumps``
+    escapes non-ASCII, so the text's length is its size in bytes.
+    """
+    text = cfd._json_text
+    if text is None:
+        text = json.dumps(json_native(rule_json_dict(cfd)), allow_nan=False)
+        cfd._json_text = text
+    return text
+
+
+def cached_rule_text_bytes(cfds: Iterable[CFD]) -> int:
+    """Heap bytes of the rule texts :func:`rule_json_text` has kept on ``cfds``."""
+    return sum(
+        sys.getsizeof(cfd._json_text) for cfd in cfds if cfd._json_text is not None
+    )
 
 
 @dataclass
@@ -178,6 +203,17 @@ class DiscoveryResult:
         document["rules"] = [rule_json_dict(cfd) for cfd in self.cfds]
         return json_native(document)
 
+    def json_bytes(self) -> bytes:
+        """``json.dumps(self.to_json_dict(), allow_nan=False)``, encoded.
+
+        Equal byte for byte, with ``"rules"`` the last key, but built from
+        the header and each rule's kept :func:`rule_json_text`: an answer
+        from a memoised cover encodes only its header.
+        """
+        header = json.dumps(json_native(self._header_dict()), allow_nan=False)
+        rules = ", ".join(rule_json_text(cfd) for cfd in self.cfds)
+        return f'{header[:-1]}, "rules": [{rules}]}}'.encode("ascii")
+
     def _header_dict(self) -> Dict[str, object]:
         """The result document without its rules (shared by JSON and JSONL)."""
         return {
@@ -194,19 +230,24 @@ class DiscoveryResult:
 
         The first line is the result header (``"kind": "result"`` — everything
         :meth:`to_json_dict` carries except the rules, plus ``n_rules``); each
-        following line is one rule (``"kind": "rule"``).  A cover of a hundred
-        thousand rules therefore serializes in O(1) memory — this is what the
-        HTTP layer's ``application/x-ndjson`` responses write chunk by chunk,
-        instead of materialising one giant document.
+        following line is one rule (``"kind": "rule"``): its kept
+        :func:`rule_json_text` with the tag spliced in before the closing
+        brace.  This is what the HTTP layer's ``application/x-ndjson``
+        responses write, grouped into chunks of about 64 KiB.
         """
         header = self._header_dict()
         header["kind"] = "result"
         header["n_rules"] = len(self.cfds)
         yield json.dumps(json_native(header), allow_nan=False)
         for cfd in self.cfds:
-            rule = rule_json_dict(cfd)
-            rule["kind"] = "rule"
-            yield json.dumps(json_native(rule), allow_nan=False)
+            yield rule_json_text(cfd)[:-1] + ', "kind": "rule"}'
 
 
-__all__ = ["AlgorithmStats", "DiscoveryResult", "json_native", "rule_json_dict"]
+__all__ = [
+    "AlgorithmStats",
+    "DiscoveryResult",
+    "cached_rule_text_bytes",
+    "json_native",
+    "rule_json_dict",
+    "rule_json_text",
+]

@@ -51,7 +51,7 @@ class CFD:
     ([AC, CC] -> CT, (908, 01 || MH))
     """
 
-    __slots__ = ("_lhs", "_lhs_pattern", "_rhs", "_rhs_pattern")
+    __slots__ = ("_lhs", "_lhs_pattern", "_rhs", "_rhs_pattern", "_json_text")
 
     def __init__(
         self,
@@ -75,6 +75,10 @@ class CFD:
         self._lhs_pattern: Tuple[PatternValue, ...] = tuple(lhs_pattern[i] for i in order)
         self._rhs = rhs
         self._rhs_pattern = rhs_pattern
+        # The rule's JSON text, rendered on first encode by
+        # repro.api.result.rule_json_text; a CFD is immutable, so it never
+        # goes stale.
+        self._json_text: Optional[str] = None
 
     # ------------------------------------------------------------------ #
     # alternative constructors

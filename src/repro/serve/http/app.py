@@ -18,7 +18,7 @@ The route table (all under ``/v1`` except the operational endpoints):
                            ``rank_by``, ``limit_rows``, ``options``).
                            ``"stream": true`` (or ``?stream=jsonl``) answers
                            ``application/x-ndjson``: one header line, one line
-                           per rule — constant memory for huge tableaux
+                           per rule, written in chunks of about 64 KiB
 ``POST /v1/batch``         an array of discover bodies (or ``{"requests":
                            [...]}``), executed concurrently through the shared
                            dedup map; per-entry failures come back in place as
@@ -377,9 +377,11 @@ class Application:
         result = await self._bridge.run(
             ref, discovery_request, timeout=self._request_timeout
         )
+        # Both forms join the rule texts kept on the (memoised) cover; only
+        # the header, whose timings differ per answer, is encoded here.
         if stream:
             return HttpResponse.jsonl(result.iter_jsonl())
-        return HttpResponse.json(result.to_json_dict())
+        return HttpResponse(body=result.json_bytes() + b"\n")
 
     async def batch(self, request: HttpRequest) -> HttpResponse:
         async def run_one(entry: Dict[str, object]) -> Dict[str, object]:

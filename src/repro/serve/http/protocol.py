@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, List, NoReturn, Optional
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from repro.serve.http.errors import ApiError
@@ -36,6 +37,10 @@ MAX_HEADER_COUNT = 100
 
 #: Default cap on request bodies (the server config can lower/raise it).
 DEFAULT_MAX_BODY_BYTES = 32 * 2 ** 20
+
+#: A streamed response's lines go out in chunks of about this many bytes:
+#: a few frames for a large answer, and a stream holds one chunk at most.
+STREAM_CHUNK_BYTES = 64 * 1024
 
 STATUS_PHRASES = {
     200: "OK",
@@ -66,6 +71,21 @@ class ProtocolError(Exception):
         super().__init__(message)
         self.status = status
         self.message = message
+
+
+def _refuse_non_finite(token: str) -> NoReturn:
+    raise ApiError(
+        400,
+        "bad_request",
+        f"request body is not valid JSON: {token} is not a finite number",
+    )
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        _refuse_non_finite(token)
+    return value
 
 
 @dataclass
@@ -106,9 +126,18 @@ class HttpRequest:
         return self.headers.get("x-client-id") or None
 
     def json(self) -> object:
-        """The body decoded as JSON; malformed bodies raise a 400 ApiError."""
+        """The body decoded as JSON; malformed bodies raise a 400 ApiError.
+
+        ``NaN``, ``Infinity``, ``-Infinity`` and numbers that overflow a
+        float (``1e999``) are not JSON (RFC 8259), so they are malformed
+        too: no non-finite value ever reaches a relation or a request.
+        """
         try:
-            return json.loads(self.body.decode("utf-8"))
+            return json.loads(
+                self.body.decode("utf-8"),
+                parse_constant=_refuse_non_finite,
+                parse_float=_finite_float,
+            )
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ApiError(
                 400, "bad_request", f"request body is not valid JSON: {exc}"
@@ -132,18 +161,26 @@ class HttpResponse:
     body: bytes = b""
     content_type: str = "application/json"
     headers: Dict[str, str] = field(default_factory=dict)
-    #: When set, the response streams chunk-by-chunk (chunked transfer
-    #: encoding) instead of sending ``body``.  A plain iterable yields
-    #: *lines* (``str``, no trailing newline — the JSONL rule streams); an
-    #: async iterable yields raw ``bytes`` chunks forwarded verbatim (the
-    #: fleet router's passthrough of a worker's chunked body).
+    #: When set, the response is streamed (chunked transfer encoding)
+    #: instead of sending ``body``.  A plain iterable yields *lines*
+    #: (``str``, no trailing newline — the JSONL rule streams), which
+    #: :func:`write_response` groups into chunks of about
+    #: :data:`STREAM_CHUNK_BYTES`; an async iterable yields raw ``bytes``
+    #: chunks forwarded verbatim, one frame each (the fleet router's
+    #: passthrough of a worker's chunked body).
     stream = None
 
     @classmethod
     def json(
         cls, document: object, status: int = 200, **headers: str
     ) -> "HttpResponse":
-        body = json.dumps(document, indent=2, allow_nan=False).encode("utf-8")
+        """``document`` as a compact JSON body (default separators).
+
+        Compact, so a discover body built from the kept rule texts
+        (:meth:`~repro.api.result.DiscoveryResult.json_bytes`) equals what
+        this writes for the same result's ``to_json_dict()``.
+        """
+        body = json.dumps(document, allow_nan=False).encode("utf-8")
         return cls(
             status=status,
             body=body + b"\n",
@@ -312,18 +349,33 @@ async def write_response(
             # Raw passthrough: each item is already encoded bytes (a chunk
             # relayed from an upstream worker) and is re-framed verbatim.
             async for chunk in response.stream:
-                if not chunk:
-                    continue
-                writer.write(f"{len(chunk):x}\r\n".encode("ascii"))
-                writer.write(chunk + b"\r\n")
-                await writer.drain()
+                if chunk:
+                    await _write_chunk(writer, chunk)
         else:
+            # Lines are grouped, not framed one by one: a cover of thousands
+            # of rules goes out in a few chunks.  The size is counted in
+            # characters, which equal bytes for the ASCII JSON lines.
+            lines: List[str] = []
+            size = 0
             for line in response.stream:
-                chunk = (line + "\n").encode("utf-8")
-                writer.write(f"{len(chunk):x}\r\n".encode("ascii"))
-                writer.write(chunk + b"\r\n")
-                await writer.drain()
+                lines.append(line)
+                size += len(line) + 1
+                if size >= STREAM_CHUNK_BYTES:
+                    await _write_chunk(writer, _joined(lines))
+                    lines, size = [], 0
+            if lines:
+                await _write_chunk(writer, _joined(lines))
     writer.write(b"0\r\n\r\n")
+    await writer.drain()
+
+
+def _joined(lines: List[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+async def _write_chunk(writer: asyncio.StreamWriter, chunk: bytes) -> None:
+    writer.write(f"{len(chunk):x}\r\n".encode("ascii"))
+    writer.write(chunk + b"\r\n")
     await writer.drain()
 
 
@@ -344,6 +396,7 @@ __all__ = [
     "MAX_HEADER_BYTES",
     "MAX_REQUEST_LINE_BYTES",
     "ProtocolError",
+    "STREAM_CHUNK_BYTES",
     "error_response",
     "read_request",
     "write_response",

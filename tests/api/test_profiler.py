@@ -162,6 +162,17 @@ class TestExecution:
         )
         assert profiler.estimated_bytes() > warmed
 
+    def test_estimated_bytes_count_the_kept_rule_texts(self, relation):
+        profiler = Profiler(relation)
+        result = profiler.run(DiscoveryRequest(min_support=2, algorithm="fastcfd"))
+        before = profiler.estimated_bytes()
+        body = result.json_bytes()
+        # The body's rule bytes: the rules array less its ", " separators.
+        rules = body[body.index(b'"rules": [') + len(b'"rules": [') : -len(b"]}")]
+        rule_bytes = len(rules) - 2 * (len(result.cfds) - 1)
+        assert rule_bytes > 0
+        assert profiler.estimated_bytes() - before >= rule_bytes
+
     def test_discover_convenience_wrapper(self, relation):
         result = Profiler(relation).discover(
             2, algorithm="fastcfd", constant_cfds="skip"

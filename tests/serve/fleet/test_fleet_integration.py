@@ -10,28 +10,36 @@ The acceptance scenarios of the fleet subsystem, each against real
 * a greedy client is throttled (``429`` + honest ``Retry-After``) while a
   light client keeps being admitted, observable in the router's
   ``/metrics``;
-* streaming and batch requests pass through the router unchanged;
+* streaming and batch requests pass through the router unchanged, and a
+  large JSONL answer arrives in chunks of about 64 KiB on both hops;
 * the router answers protocol and routing errors the way a worker does,
   and drains the way a worker does: in-flight forwards finish, new ones
   are refused ``503 draining``.
 """
 
+import asyncio
 import http.client
 import json
+import math
 import threading
 import time
 
 import pytest
 
+from repro.api import DiscoveryRequest, Profiler
 from repro.api.registry import (
     AlgorithmCapabilities,
     AlgorithmRegistry,
     DiscoveryAlgorithm,
 )
 from repro.api.result import AlgorithmStats
+from repro.datagen import generate_tax
+from repro.relational.io import read_csv, write_csv
 from repro.serve import CacheStore, DiscoveryService, SessionPool
 from repro.serve.fleet import RouterConfig, RouterThread
+from repro.serve.fleet.client import WorkerClient
 from repro.serve.http import ServerConfig, ServerThread
+from repro.serve.http.protocol import STREAM_CHUNK_BYTES
 
 CSV_BODY = (
     "CC,AC,PN,NM,STR,CT,ZIP\n"
@@ -45,6 +53,21 @@ CSV_BODY = (
     "01,131,2222222,Sean,3rd Str.,UN,01202\n"
 )
 DISCOVER = {"support": 2, "algorithm": "fastcfd"}
+
+#: Number tokens ``json.loads`` accepts that are not JSON (RFC 8259).
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+def non_finite_bodies(token):
+    """An upload and two inline discovers whose rows hold ``token``."""
+    rows = ", ".join([f"[{token}, 1, 2]"] * 4 + ["[2.5, 1, 3]"] * 4)
+    relation = '"attributes": ["A", "B", "C"], "rows": [' + rows + "]"
+    discover = "{" + relation + ', "support": 2, "algorithm": "fastcfd"}'
+    return [
+        ("/v1/relations", "{" + relation + "}"),
+        ("/v1/discover", discover),
+        ("/v1/discover?stream=jsonl", discover),
+    ]
 
 
 def request(handle, method, path, body=None, headers=None, timeout=30):
@@ -198,6 +221,47 @@ class TestRoutingThroughRouter:
         assert header["n_rules"] == len(rules)
         assert all(line["kind"] == "rule" for line in rules)
 
+    def test_large_stream_arrives_in_few_chunks(self, fleet, tmp_path):
+        """A JSONL answer of ~225 KB (1,186 rules) arrives in a few ~64 KiB
+        chunks, directly from its worker and through the router alike."""
+        path = tmp_path / "tax60.csv"
+        write_csv(generate_tax(60, arity=7, seed=3), path)
+        status, _, data = request(
+            fleet.router, "POST", "/v1/relations", body=path.read_bytes(),
+            headers={"Content-Type": "text/csv"},
+        )
+        assert status == 201, data
+        fingerprint = json.loads(data)["fingerprint"]
+        expected = Profiler(read_csv(path)).run(
+            DiscoveryRequest(min_support=2, algorithm="fastcfd")
+        )
+        body = json.dumps({"relation": fingerprint, **DISCOVER}).encode()
+
+        async def chunks_from(url):
+            client = WorkerClient()
+            try:
+                response = await client.request(
+                    url, "POST", "/v1/discover?stream=jsonl", body=body,
+                    headers={"content-type": "application/json"}, timeout=30,
+                )
+                assert response.status == 200
+                return [chunk async for chunk in response.chunks]
+            finally:
+                await client.close()
+
+        owner, _ = fleet.owner_and_successor(fingerprint)
+        for url in (owner.address, fleet.router.address):
+            chunks = asyncio.run(chunks_from(url))
+            data = b"".join(chunks)
+            assert len(data) > STREAM_CHUNK_BYTES
+            assert len(chunks) <= math.ceil(len(data) / STREAM_CHUNK_BYTES) + 1
+            lines = data.decode("utf-8").split("\n")
+            assert lines.pop() == ""  # every line, the last too, ends in \n
+            header = json.loads(lines[0])
+            assert header["kind"] == "result"
+            assert header["n_rules"] == len(expected.cfds)
+            assert lines[1:] == list(expected.iter_jsonl())[1:]
+
     def test_batch_splits_and_reassembles(self, fleet):
         fingerprint = upload(fleet.router)
         status, _, document = json_request(
@@ -342,6 +406,18 @@ class TestRouterProtocol:
         )
         assert status == 400
         assert json.loads(data)["error"]["code"] == "bad_request"
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_numbers_are_400(self, fleet, token):
+        for path, body in non_finite_bodies(token):
+            status, _, data = request(
+                fleet.router, "POST", path, body=body.encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            assert status == 400, (path, data)
+            error = json.loads(data)["error"]
+            assert error["code"] == "bad_request"
+            assert token in error["message"]
 
     def test_head_healthz_answers_without_a_body(self, fleet):
         status, headers, data = request(fleet.router, "HEAD", "/healthz")

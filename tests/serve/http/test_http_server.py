@@ -26,6 +26,21 @@ from repro.serve.http import ServerConfig, ServerThread
 
 CSV_BODY = "AC,CT\n908,MH\n908,MH\n212,NYC\n212,NYC\n131,EDI\n"
 
+#: Number tokens ``json.loads`` accepts that are not JSON (RFC 8259).
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e999"]
+
+
+def non_finite_bodies(token):
+    """An upload and two inline discovers whose rows hold ``token``."""
+    rows = ", ".join([f"[{token}, 1, 2]"] * 4 + ["[2.5, 1, 3]"] * 4)
+    relation = '"attributes": ["A", "B", "C"], "rows": [' + rows + "]"
+    discover = "{" + relation + ', "support": 2, "algorithm": "fastcfd"}'
+    return [
+        ("/v1/relations", "{" + relation + "}"),
+        ("/v1/discover", discover),
+        ("/v1/discover?stream=jsonl", discover),
+    ]
+
 
 def request(server, method, path, body=None, headers=None, timeout=30):
     """One blocking HTTP exchange; returns (status, headers, bytes)."""
@@ -207,6 +222,18 @@ class TestErrorTaxonomy:
         error = json.loads(data)["error"]
         assert error["code"] == "bad_request"
         assert error["status"] == 400
+
+    @pytest.mark.parametrize("token", NON_FINITE)
+    def test_non_finite_numbers_are_400(self, server, token):
+        for path, body in non_finite_bodies(token):
+            status, _, data = request(
+                server, "POST", path, body=body.encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            assert status == 400, (path, data)
+            error = json.loads(data)["error"]
+            assert error["code"] == "bad_request"
+            assert token in error["message"]
 
     def test_unknown_relation_is_404(self, server):
         status, _, document = json_request(
