@@ -35,7 +35,7 @@ from repro.api.request import DiscoveryRequest
 from repro.api.result import (
     AlgorithmStats,
     DiscoveryResult,
-    cached_rule_text_bytes,
+    kept_rule_text_bytes,
 )
 from repro.core.cfd import CFD
 from repro.core.fastcfd import ClosedSetDifferenceSets, PartitionDifferenceSets
@@ -177,6 +177,18 @@ def discover(
 #: Rough bytes per encoded item / closure entry in the free/closed estimates.
 _EST_ITEM_BYTES = 64
 
+#: Heap bytes a free item set holds beyond its tid-list data and its items:
+#: its object, the tid-list header and its entries in the mining result's
+#: free-set, C2F and closed-support maps.
+_FREE_SET_ENTRY_BYTES = 640
+
+#: Heap bytes a cached partition holds beyond its arrays' ``nbytes``: the
+#: partition object, its array headers and its cache-dict slot and key.
+_PARTITION_ENTRY_BYTES = 460
+
+# Both entry constants are calibrated against tracemalloc's live bytes
+# (tests/serve/test_byte_accounting.py holds the estimate to [0.5, 2]x).
+
 #: How many prefix sub-sessions (distinct truncating ``limit_rows`` values)
 #: one session keeps warm; least recently used ones are dropped beyond this.
 MAX_PREFIX_SESSIONS = 4
@@ -192,6 +204,15 @@ PATTERN_PARTITION_BUDGET_BYTES = 64 * 2 ** 20
 
 #: The engine-configuration cache key of :meth:`Profiler.engine_result`.
 EngineKey = Tuple[str, int, Optional[int], Tuple[Tuple[str, object], ...]]
+
+
+def _mining_bytes(result: FreeClosedResult) -> int:
+    """The byte charge of one free/closed mining result."""
+    total = 0
+    for free in result.free_sets.values():
+        total += int(free.tids.nbytes) + _FREE_SET_ENTRY_BYTES
+        total += _EST_ITEM_BYTES * (len(free.items) + len(free.closure))
+    return total
 
 
 class Profiler:
@@ -249,7 +270,12 @@ class Profiler:
         self._partitions: Dict[Tuple[int, ...], "Partition"] = {}
         self._pattern_partitions: Dict[Tuple, "Partition"] = {}
         self._pattern_bytes = 0
+        #: Running byte total of the mining results and attribute partitions,
+        #: charged as each lands (see :meth:`estimated_bytes`).
+        self._bytes = 0
         self._engine_results: "OrderedDict[EngineKey, Future]" = OrderedDict()
+        #: Kept-text bytes of the memoised covers whose every rule has one.
+        self._memo_text_bytes: Dict[EngineKey, int] = {}
         self._prefix_sessions: "OrderedDict[int, Profiler]" = OrderedDict()
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
@@ -266,14 +292,15 @@ class Profiler:
         bucket = self._hits if hit else self._misses
         bucket[cache] = bucket.get(cache, 0) + 1
 
-    def _get_or_build(self, cache: str, store: Dict, key, build):
+    def _get_or_build(self, cache: str, store: Dict, key, build, size=None):
         """Serve ``store[key]``, building it at most once, outside the lock.
 
         The lock is held only to look up or insert the future; the first
         caller (the one who inserted it) runs ``build()`` unlocked, so
         builds for distinct keys proceed in parallel while same-key callers
         wait on the shared future.  Failed builds are evicted so a later
-        call can retry.
+        call can retry.  ``size(result)``, when given, is charged to the
+        session's byte total once the build completes.
         """
         with self._lock:
             future = store.get(key)
@@ -309,10 +336,12 @@ class Profiler:
                     del store[key]
             future.set_exception(exc)
             raise
+        charge = size(result) if size is not None else 0
         with self._lock:
             self._build_seconds[cache] = (
                 self._build_seconds.get(cache, 0.0) + build_elapsed
             )
+            self._bytes += charge
         future.set_result(result)
         return result
 
@@ -330,6 +359,7 @@ class Profiler:
             lambda: mine_free_and_closed(
                 self._relation, min_support=min_support, max_size=max_lhs_size
             ),
+            size=_mining_bytes,
         )
 
     def closed_difference_sets(self) -> ClosedSetDifferenceSets:
@@ -371,12 +401,17 @@ class Profiler:
             self._count("attribute_partitions", hit=False)
             build_start = time.perf_counter()
             partition = attribute_partition(self._relation.encoded_matrix(), key)
+            # Engines read the covered views of every cached partition, so
+            # they are built now and the charge below is the partition's
+            # lasting size.
+            partition.covered_index
             self._build_seconds["attribute_partitions"] = (
                 self._build_seconds.get("attribute_partitions", 0.0)
                 + time.perf_counter()
                 - build_start
             )
             self._partitions[key] = partition
+            self._bytes += partition.nbytes + _PARTITION_ENTRY_BYTES
             return partition
 
     # ------------------------------------------------------------------ #
@@ -418,7 +453,8 @@ class Profiler:
             if key in self._engine_results:
                 self._engine_results.move_to_end(key)
             while len(self._engine_results) > MAX_ENGINE_RESULTS:
-                self._engine_results.popitem(last=False)
+                evicted, _ = self._engine_results.popitem(last=False)
+                self._memo_text_bytes.pop(evicted, None)
         return result
 
     # ------------------------------------------------------------------ #
@@ -575,42 +611,53 @@ class Profiler:
     def estimated_bytes(self) -> int:
         """Approximate heap bytes held by the session's caches.
 
-        Numpy-backed stores (tid-lists, partitions) are counted exactly via
-        ``nbytes``; pure-Python structures (item sets, posting lists) use
-        coarse per-item constants.  A memoised cover also counts the heap
-        size of the rule texts its answers have kept on it
-        (:func:`~repro.api.result.rule_json_text`).  Structures still being
-        built count as zero until their future completes.  Prefix sub-sessions are
-        included, so the serving layer's :class:`~repro.serve.SessionPool`
-        can budget a whole session tree with one call.
+        A running total, charged as each structure lands and never walked:
+        a mining result when its build completes or :meth:`warm_from`
+        installs it, an attribute partition (its covered views built) or a
+        pattern partition when it is cached.  Numpy arrays count their
+        ``nbytes``, each cached partition :data:`_PARTITION_ENTRY_BYTES`
+        more, and pure-Python structures (item sets, posting lists) coarse
+        per-item constants.  The difference-set providers keep their own
+        totals.  A memoised cover counts ``256 + 96`` bytes per rule plus
+        the heap size of the rule texts its answers have kept on it
+        (:func:`~repro.api.result.rule_json_text`), summed once every rule
+        has one.  Structures still being built count as zero until their
+        future completes.  Prefix sub-sessions are included, so the serving
+        layer's :class:`~repro.serve.SessionPool` can budget a whole session
+        tree with one call.  The read is O(1) per cache table: at most two
+        providers, :data:`MAX_ENGINE_RESULTS` memoised covers and
+        :data:`MAX_PREFIX_SESSIONS` prefix sessions.
         """
         with self._lock:
-            mining = [self._completed(f) for f in self._free_closed.values()]
+            total = (
+                256  # the session object itself
+                + self._bytes
+                + self._pattern_bytes
+                + _PARTITION_ENTRY_BYTES * len(self._pattern_partitions)
+            )
             providers = [self._completed(f) for f in self._providers.values()]
-            partitions = list(self._partitions.values())
-            patterns = list(self._pattern_partitions.values())
-            engine_entries = [
-                self._completed(f) for f in self._engine_results.values()
+            memo = [
+                (key, future, self._memo_text_bytes.get(key))
+                for key, future in self._engine_results.items()
             ]
             prefixes = list(self._prefix_sessions.values())
-        total = 256  # the session object itself
-        for result in mining:
-            if result is None:
-                continue
-            for free in result.free_sets.values():
-                total += int(free.tids.nbytes)
-                total += _EST_ITEM_BYTES * (len(free.items) + len(free.closure) + 2)
         for provider in providers:
             if provider is not None:
                 total += provider.estimated_bytes()
-        for partition in partitions:
-            total += partition.nbytes
-        for partition in patterns:
-            total += partition.nbytes
-        for entry in engine_entries:
-            if entry is not None:
-                cfds, _ = entry
-                total += 256 + 96 * len(cfds) + cached_rule_text_bytes(cfds)
+        for key, future, text_bytes in memo:
+            entry = self._completed(future)
+            if entry is None:
+                continue
+            cfds, _ = entry
+            if text_bytes is None:
+                text_bytes, complete = kept_rule_text_bytes(cfds)
+                if complete:
+                    # Kept texts never change: a fully encoded cover is
+                    # summed once.
+                    with self._lock:
+                        if self._engine_results.get(key) is future:
+                            self._memo_text_bytes[key] = text_bytes
+            total += 256 + 96 * len(cfds) + text_bytes
         for prefix in prefixes:
             total += prefix.estimated_bytes()
         return total
@@ -694,8 +741,11 @@ class Profiler:
             store, self._relation.fingerprint()
         ):
             if kind == sf.KIND_FREE_CLOSED:
+                charge = _mining_bytes(value)
                 with self._lock:
-                    self._free_closed.setdefault(key, self._completed_future(value))
+                    if key not in self._free_closed:
+                        self._free_closed[key] = self._completed_future(value)
+                        self._bytes += charge
             elif kind == sf.KIND_DIFFERENCE_SETS:
                 if not self._warm_provider(key, value):
                     continue

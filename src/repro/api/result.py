@@ -14,7 +14,7 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.core.cfd import CFD
 from repro.core.pattern import is_wildcard
@@ -114,11 +114,18 @@ def rule_json_text(cfd: CFD) -> str:
     return text
 
 
-def cached_rule_text_bytes(cfds: Iterable[CFD]) -> int:
-    """Heap bytes of the rule texts :func:`rule_json_text` has kept on ``cfds``."""
-    return sum(
-        sys.getsizeof(cfd._json_text) for cfd in cfds if cfd._json_text is not None
-    )
+def kept_rule_text_bytes(cfds: Iterable[CFD]) -> Tuple[int, bool]:
+    """Heap bytes of the rule texts :func:`rule_json_text` has kept on
+    ``cfds``, and whether every rule has one (then the figure is final)."""
+    total = 0
+    complete = True
+    for cfd in cfds:
+        text = cfd._json_text
+        if text is None:
+            complete = False
+        else:
+            total += sys.getsizeof(text)
+    return total, complete
 
 
 @dataclass
@@ -169,12 +176,19 @@ class DiscoveryResult:
         return len(self.cfds)
 
     def counts(self) -> Dict[str, int]:
-        """Counts of constant/variable/total CFDs (Figures 6, 9, 14-16)."""
-        return {
-            "constant": len(self.constant_cfds),
-            "variable": len(self.variable_cfds),
-            "total": len(self.cfds),
-        }
+        """Counts of constant/variable/total CFDs (Figures 6, 9, 14-16).
+
+        One pass over the cover.  A rule with a constant RHS under a
+        wildcard LHS is neither kind, so the two need not add up to
+        ``total``.
+        """
+        constant = variable = 0
+        for cfd in self.cfds:
+            if cfd.is_variable:
+                variable += 1
+            elif cfd.is_constant:
+                constant += 1
+        return {"constant": constant, "variable": variable, "total": len(self.cfds)}
 
     def tableaux(self):
         """The cover folded into one pattern tableau per embedded FD."""
@@ -246,7 +260,7 @@ class DiscoveryResult:
 __all__ = [
     "AlgorithmStats",
     "DiscoveryResult",
-    "cached_rule_text_bytes",
+    "kept_rule_text_bytes",
     "json_native",
     "rule_json_dict",
     "rule_json_text",

@@ -66,52 +66,36 @@ def _family_bytes(family: Iterable[FrozenSet]) -> int:
     return 64 + sum(64 + _EST_ITEM_BYTES * len(member) for member in family)
 
 
+#: Heap bytes a per-query cache entry holds beyond its items and its
+#: family's members: the key tuple and frozenset, the family's set object
+#: and the dict slot.  Calibrated against tracemalloc's live bytes (see
+#: tests/serve/test_byte_accounting.py).
+_QUERY_ENTRY_BYTES = 400
+
+
+def _entry_bytes(items: EncodedItemSet, family: Set[AttributeSet]) -> int:
+    """The byte charge of one per-query cache entry."""
+    return _QUERY_ENTRY_BYTES + _EST_ITEM_BYTES * len(items) + _family_bytes(family)
+
+
 # ---------------------------------------------------------------------- #
 # difference-set providers
 # ---------------------------------------------------------------------- #
 class DifferenceSetProvider:
-    """Interface: minimal difference sets ``Dᵐ_A(r_tp)`` for a constant pattern."""
+    """Minimal difference sets ``Dᵐ_A(r_tp)`` for a constant pattern, cached
+    per query.
 
-    def minimal_difference_sets(
-        self, rhs: int, items: EncodedItemSet
-    ) -> Set[AttributeSet]:
-        raise NotImplementedError
-
-    def estimated_bytes(self) -> int:
-        """Approximate heap bytes held by the provider's indexes and caches."""
-        return 0
-
-    def export_cache(self) -> List[Tuple[int, EncodedItemSet, Set[AttributeSet]]]:
-        """Snapshot of the per-query cache as ``(rhs, items, family)`` triples.
-
-        The serving layer's persistent :class:`~repro.serve.store.CacheStore`
-        dumps this so a restarted worker's provider answers previously seen
-        queries without recomputing them.
-        """
-        return []
-
-    def import_cache(
-        self, entries: Iterable[Tuple[int, EncodedItemSet, Set[AttributeSet]]]
-    ) -> None:
-        """Pre-seed the per-query cache (inverse of :meth:`export_cache`)."""
-
-
-class PartitionDifferenceSets(DifferenceSetProvider):
-    """Pairwise (partition style) difference sets — the **NaiveFast** provider.
-
-    For every queried pattern the provider materialises the matching tuples
-    and compares them pairwise (with numpy bitmask batching).  The cost grows
-    quadratically with the number of distinct matching tuples, which is
-    exactly the DBSIZE sensitivity the paper reports for NaiveFast.
+    Subclasses implement :meth:`_compute`.  ``_cache_lock`` guards only the
+    per-query cache and its byte total, never the computation: concurrent
+    engines sharing one provider compute outside it, and two threads may
+    compute the same key (benign — the result is deterministic).
     """
 
-    def __init__(self, relation: Relation):
-        self._relation = relation
-        self._matrix = relation.encoded_matrix()
+    def __init__(self, index_bytes: int = 0):
         self._cache: Dict[Tuple[int, EncodedItemSet], Set[AttributeSet]] = {}
-        # Guards _cache against concurrent engines sharing one session; the
-        # difference-set computation itself runs outside the lock (duplicate
-        # concurrent computes are benign — the result is deterministic).
+        #: Running byte total: the provider's index, sized once by the
+        #: subclass, plus each cache entry, charged on its first insert.
+        self._bytes = index_bytes
         self._cache_lock = threading.Lock()
 
     def minimal_difference_sets(
@@ -122,34 +106,67 @@ class PartitionDifferenceSets(DifferenceSetProvider):
             cached = self._cache.get(key)
         if cached is not None:
             return cached
-        tids = itemset_support(self._relation, items)
-        result = minimal_difference_sets_wrt(self._matrix, rhs, rows=tids)
-        with self._cache_lock:
-            self._cache[key] = result
+        result = self._compute(rhs, key[1])
+        self._insert(key, result)
         return result
 
-    def estimated_bytes(self) -> int:
-        """Approximate heap bytes of the per-query cache.
+    def _compute(self, rhs: int, items: EncodedItemSet) -> Set[AttributeSet]:
+        raise NotImplementedError
 
-        The encoded matrix belongs to (and is accounted on) the relation's
-        encoding, not the provider.
-        """
+    def _insert(
+        self, key: Tuple[int, EncodedItemSet], family: Set[AttributeSet]
+    ) -> None:
+        """Cache one query result; a key already present is not re-charged."""
+        charge = _entry_bytes(key[1], family)
         with self._cache_lock:
-            entries = list(self._cache.items())
-        total = 0
-        for (_, items), family in entries:
-            total += 64 + _EST_ITEM_BYTES * len(items) + _family_bytes(family)
-        return total
+            if key not in self._cache:
+                self._cache[key] = family
+                self._bytes += charge
 
-    def export_cache(self):
+    def estimated_bytes(self) -> int:
+        """Approximate heap bytes held by the provider's index and query
+        cache: their running total, charged as entries land (O(1))."""
+        with self._cache_lock:
+            return self._bytes
+
+    def export_cache(self) -> List[Tuple[int, EncodedItemSet, Set[AttributeSet]]]:
+        """Snapshot of the per-query cache as ``(rhs, items, family)`` triples.
+
+        The serving layer's persistent :class:`~repro.serve.store.CacheStore`
+        dumps this so a restarted worker's provider answers previously seen
+        queries without recomputing them.
+        """
         with self._cache_lock:
             entries = list(self._cache.items())
         return [(rhs, items, set(family)) for (rhs, items), family in entries]
 
-    def import_cache(self, entries) -> None:
-        with self._cache_lock:
-            for rhs, items, family in entries:
-                self._cache.setdefault((int(rhs), frozenset(items)), set(family))
+    def import_cache(
+        self, entries: Iterable[Tuple[int, EncodedItemSet, Set[AttributeSet]]]
+    ) -> None:
+        """Pre-seed the per-query cache (inverse of :meth:`export_cache`)."""
+        for rhs, items, family in entries:
+            self._insert((int(rhs), frozenset(items)), set(family))
+
+
+class PartitionDifferenceSets(DifferenceSetProvider):
+    """Pairwise (partition style) difference sets — the **NaiveFast** provider.
+
+    For every queried pattern the provider materialises the matching tuples
+    and compares them pairwise (with numpy bitmask batching).  The cost grows
+    quadratically with the number of distinct matching tuples, which is
+    exactly the DBSIZE sensitivity the paper reports for NaiveFast.  The
+    encoded matrix belongs to (and is accounted on) the relation's encoding,
+    so the provider's bytes are its query cache alone.
+    """
+
+    def __init__(self, relation: Relation):
+        super().__init__()
+        self._relation = relation
+        self._matrix = relation.encoded_matrix()
+
+    def _compute(self, rhs: int, items: EncodedItemSet) -> Set[AttributeSet]:
+        tids = itemset_support(self._relation, items)
+        return minimal_difference_sets_wrt(self._matrix, rhs, rows=tids)
 
 
 class ClosedSetDifferenceSets(DifferenceSetProvider):
@@ -190,10 +207,13 @@ class ClosedSetDifferenceSets(DifferenceSetProvider):
             for item in items:
                 self._postings.setdefault(item, set()).add(index)
         self._all_indices = set(range(len(self._closed_items)))
-        self._cache: Dict[Tuple[int, EncodedItemSet], Set[AttributeSet]] = {}
-        # Same discipline as PartitionDifferenceSets: the lock guards only
-        # the cache dict, never the query computation.
-        self._cache_lock = threading.Lock()
+        super().__init__(
+            _family_bytes(self._closed_items)
+            + _family_bytes(self._closed_attrs)
+            + _family_bytes(self._closed_complements)
+            + _family_bytes(self._postings.values())
+            + _EST_ITEM_BYTES * len(self._all_indices)
+        )
 
     def _candidate_indices(self, query: EncodedItemSet) -> Set[int]:
         """Indices of the closed sets containing every item of ``query``."""
@@ -213,47 +233,14 @@ class ClosedSetDifferenceSets(DifferenceSetProvider):
                 break
         return candidates
 
-    def minimal_difference_sets(
-        self, rhs: int, items: EncodedItemSet
-    ) -> Set[AttributeSet]:
-        key = (rhs, frozenset(items))
-        with self._cache_lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+    def _compute(self, rhs: int, items: EncodedItemSet) -> Set[AttributeSet]:
         family: Set[AttributeSet] = set()
-        for index in self._candidate_indices(frozenset(items)):
+        for index in self._candidate_indices(items):
             closed_attrs = self._closed_attrs[index]
             if rhs in closed_attrs:
                 continue  # the pair agrees on the RHS attribute
             family.add(self._closed_complements[index] - {rhs})
-        result = minimal_sets(family)
-        with self._cache_lock:
-            self._cache[key] = result
-        return result
-
-    def estimated_bytes(self) -> int:
-        """Approximate heap bytes of the closed-set index and the query cache."""
-        total = _family_bytes(self._closed_items)
-        total += _family_bytes(self._closed_attrs)
-        total += _family_bytes(self._closed_complements)
-        total += _family_bytes(self._postings.values())
-        total += _EST_ITEM_BYTES * len(self._all_indices)
-        with self._cache_lock:
-            entries = list(self._cache.items())
-        for (_, items), family in entries:
-            total += 64 + _EST_ITEM_BYTES * len(items) + _family_bytes(family)
-        return total
-
-    def export_cache(self):
-        with self._cache_lock:
-            entries = list(self._cache.items())
-        return [(rhs, items, set(family)) for (rhs, items), family in entries]
-
-    def import_cache(self, entries) -> None:
-        with self._cache_lock:
-            for rhs, items, family in entries:
-                self._cache.setdefault((int(rhs), frozenset(items)), set(family))
+        return minimal_sets(family)
 
 
 # ---------------------------------------------------------------------- #

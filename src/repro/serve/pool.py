@@ -13,7 +13,11 @@ The pool is bounded two ways:
   :meth:`enforce_limits` after runs grow the caches.  The pool registers a
   run listener on every session it creates, so the byte accounting refreshes
   after **every** executed request — eviction decisions never run on stale
-  figures from before a request grew a session's caches.
+  figures from before a request grew a session's caches.  Reading a
+  session's figure is O(1): each session keeps a running total, charged as
+  its cache entries land, so the refresh after a memoised answer, the
+  ``/healthz`` and ``/metrics`` reads of :meth:`info` and every
+  :meth:`enforce_limits` size nothing per cached item.
 
 Eviction is **cost-aware**: the victim is the session whose caches were
 cheapest to build (:meth:`~repro.api.Profiler.build_seconds_total` — the

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import REGISTRY, DiscoveryRequest, Profiler
 from repro.api.result import DiscoveryResult, json_native, rule_json_dict
-from repro.core.pattern import is_wildcard
+from repro.core.cfd import CFD
+from repro.core.pattern import WILDCARD, is_wildcard
+from repro.datagen import generate_tax
 from repro.relational.relation import Relation
 
 #: Constants a JSON encoder must take care with: null, a bool, zero, a
@@ -129,3 +131,39 @@ def test_generated_relations_encode_byte_for_byte(rows, k):
     result = profiler.run(DiscoveryRequest(min_support=k, algorithm="fastcfd"))
     assert_encodes_freshly(result)
     assert_encodes_freshly(result)
+
+
+def two_list_counts(cfds):
+    """The counts as two filtered lists define them."""
+    return {
+        "constant": len([cfd for cfd in cfds if cfd.is_constant]),
+        "variable": len([cfd for cfd in cfds if cfd.is_variable]),
+        "total": len(cfds),
+    }
+
+
+@pytest.mark.parametrize("algorithm", REGISTRY.names())
+def test_counts_match_the_two_list_definition(algorithm):
+    relation = generate_tax(120, arity=7, seed=4)
+    result = Profiler(relation).run(
+        DiscoveryRequest(min_support=5, algorithm=algorithm)
+    )
+    assert result.cfds
+    assert result.counts() == two_list_counts(result.cfds)
+
+
+def test_counts_of_hand_built_rules():
+    constant = CFD(("A",), ("a",), "B", "b")
+    variable = CFD(("A",), ("a",), "B", WILDCARD)
+    # A constant RHS under a wildcard LHS is neither kind.
+    neither = CFD(("A",), (WILDCARD,), "B", "b")
+    result = DiscoveryResult(
+        algorithm="fastcfd",
+        cfds=[constant, variable, neither, variable],
+        min_support=1,
+        elapsed_seconds=0.0,
+        relation_size=2,
+        relation_arity=2,
+    )
+    assert result.counts() == {"constant": 1, "variable": 2, "total": 4}
+    assert result.counts() == two_list_counts(result.cfds)
